@@ -16,7 +16,7 @@
    bind. On lanes that are supposed to have the cores, pass
    [--require GAUGE] (repeatable): a SKIP on a floor whose gauge is in
    the required set becomes a FAIL instead of silently not binding. A
-   present value below its floor exits 1. *)
+   present value below its floor, or above its ceiling, exits 1. *)
 
 let read_file path =
   let ic = open_in_bin path in
@@ -67,7 +67,11 @@ let gauge_value telemetry ~row ~gauge =
      | Some _ | None -> None)
 
 (* Floors file shape (see bench/bench_floors.json):
-   {"version":1,"floors":[{"row":"...","gauge":"...","min":N},...]} *)
+   {"version":1,"floors":[{"row":"...","gauge":"...","min":N},...]}
+   A lower-is-better gauge (a latency) carries "max" instead of "min":
+   a ceiling the measured value must not exceed. *)
+type bound = Min of float | Max of float
+
 let parse_floors s =
   let rec go pos acc =
     match find_from s pos "{\"row\":\"" with
@@ -84,18 +88,26 @@ let parse_floors s =
       in
       let gauge_end = String.index_from s gi '"' in
       let gauge = String.sub s gi (gauge_end - gi) in
-      let min_key = "\"min\":" in
-      let mi =
-        match find_from s gauge_end min_key with
-        | Some m -> m + String.length min_key
-        | None -> failwith (Printf.sprintf "floors: row %S has no \"min\"" row)
+      let entry_end = String.index_from s gauge_end '}' in
+      let key name =
+        match find_from s gauge_end (Printf.sprintf "\"%s\":" name) with
+        | Some k when k < entry_end -> Some (k + String.length name + 3)
+        | Some _ | None -> None
       in
-      let min_v =
-        match parse_float_at s mi with
+      let value at =
+        match parse_float_at s at with
         | Some v -> v
-        | None -> failwith (Printf.sprintf "floors: row %S has a non-numeric min" row)
+        | None -> failwith (Printf.sprintf "floors: row %S has a non-numeric bound" row)
       in
-      go gauge_end ((row, gauge, min_v) :: acc)
+      let bound =
+        match (key "min", key "max") with
+        | Some at, None -> Min (value at)
+        | None, Some at -> Max (value at)
+        | Some _, Some _ ->
+          failwith (Printf.sprintf "floors: row %S has both \"min\" and \"max\"" row)
+        | None, None -> failwith (Printf.sprintf "floors: row %S has no \"min\" or \"max\"" row)
+      in
+      go entry_end ((row, gauge, bound) :: acc)
   in
   go 0 []
 
@@ -134,21 +146,26 @@ let () =
   let failed = ref 0 and skipped = ref 0 in
   let skipped_floors = ref [] in
   List.iter
-    (fun (row, gauge, min_v) ->
-       match gauge_value telemetry ~row ~gauge with
-       | None when required_gauge gauge ->
+    (fun (row, gauge, bound) ->
+       match (gauge_value telemetry ~row ~gauge, bound) with
+       | None, _ when required_gauge gauge ->
          incr failed;
          Printf.printf "FAIL  %-28s %-24s (row absent but --require %s)\n" row
            gauge gauge
-       | None ->
+       | None, _ ->
          incr skipped;
          skipped_floors := (row, gauge) :: !skipped_floors;
          Printf.printf "SKIP  %-28s %-24s (row absent: not enough cores?)\n" row gauge
-       | Some v when v >= min_v ->
+       | Some v, Min min_v when v >= min_v ->
          Printf.printf "OK    %-28s %-24s %8.2f >= %.2f\n" row gauge v min_v
-       | Some v ->
+       | Some v, Min min_v ->
          incr failed;
-         Printf.printf "FAIL  %-28s %-24s %8.2f <  %.2f\n" row gauge v min_v)
+         Printf.printf "FAIL  %-28s %-24s %8.2f <  %.2f\n" row gauge v min_v
+       | Some v, Max max_v when v <= max_v ->
+         Printf.printf "OK    %-28s %-24s %8.2f <= %.2f\n" row gauge v max_v
+       | Some v, Max max_v ->
+         incr failed;
+         Printf.printf "FAIL  %-28s %-24s %8.2f >  %.2f\n" row gauge v max_v)
     floors;
   Printf.printf "%d floors: %d failed, %d skipped\n" (List.length floors) !failed
     !skipped;

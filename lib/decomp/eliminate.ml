@@ -12,6 +12,35 @@ let h_angles =
   Obs.Histo.make "decomp.rotation_angles"
     ~bounds:[| 1e-4; 1e-3; 0.01; 0.05; 0.1; 0.2; 0.5; 1.0 |]
 
+(* A pattern's elimination order, flattened once: stage [s] zeroes
+   matrix row [rows.(s)] through pairs [starts.(s) .. starts.(s+1) - 1]
+   of [ms]/[ns]. *)
+type schedule = {
+  modes : int;
+  rows : int array;
+  starts : int array;
+  ms : int array;
+  ns : int array;
+}
+
+let schedule pattern =
+  let stages = Array.of_list (Pattern.full_schedule pattern) in
+  let starts = Array.make (Array.length stages + 1) 0 in
+  Array.iteri (fun s (_, ps) -> starts.(s + 1) <- starts.(s) + List.length ps) stages;
+  let ms = Array.make starts.(Array.length stages) 0 in
+  let ns = Array.make starts.(Array.length stages) 0 in
+  Array.iteri
+    (fun s (_, ps) ->
+       List.iteri
+         (fun i (m, n) ->
+            ms.(starts.(s) + i) <- m;
+            ns.(starts.(s) + i) <- n)
+         ps)
+    stages;
+  { modes = Pattern.size pattern; rows = Array.map fst stages; starts; ms; ns }
+
+let rotation_count s = Array.length s.ms
+
 (* The work matrix comes from the workspace when one is supplied
    ([Mat.Slot.elimination] by convention, see docs/ARCHITECTURE.md);
    callers that pass [?ws] get an allocation-free decomposition loop. *)
@@ -24,78 +53,102 @@ let work_copy ?ws u =
     Mat.blit u w;
     w
 
-(* Every rotation of a stage derives from and updates the stage's own
-   row, so the fused engine runs the derivations serially on that one
-   row (through the same sweep kernel, keeping serial- and bulk-phase
-   arithmetic identical), then applies the whole packed stage to every
-   other row in one pool-chunked bulk pass. Stage order is a barrier:
-   the next stage's derivations read rows the bulk pass just updated.
-   Engine selection is by size only — never pool presence — so plan
-   bits at a given N are the same at every job count. *)
+(* The one schedule walker, behind both plans ([run]) and search-loop
+   scores ([angles_into]): it derives every rotation in schedule order,
+   applies it to [work] and hands it to [emit k row rotation], k being
+   the pair index.
+
+   Every rotation of a stage derives from and updates the stage's own
+   row. Below [fused_threshold] each rotation goes through the per-call
+   column kernel. At or above it, the fused engine runs the derivations
+   serially on that one row (through the same sweep kernel, keeping
+   serial- and bulk-phase arithmetic identical), then applies the whole
+   packed stage to every other row in one pool-chunked bulk pass. Stage
+   order is a barrier: the next stage's derivations read rows the bulk
+   pass just updated. Engine selection is by size only — never pool
+   presence — so plan bits at a given N are the same at every job
+   count.
+
+   With [~upto_row], stage [row] rotates only rows 0..row. Stages run
+   in descending row order, so every later stage derives from a lower
+   row, and a column rotation updates each row from that row's own two
+   entries; the rows a score still reads therefore get bit-identical
+   values, and the rows below are left stale. *)
 let fused_threshold = Mat.blocking_threshold
 
-let run_fused ?pool work n schedule elements =
-  let seq = Mat.Rotseq.create ~capacity:n () in
-  List.iter
-    (fun (row, pairs) ->
-       Mat.Rotseq.clear seq;
-       List.iter
-         (fun (m, cn) ->
-            let rotation = Givens.solve work ~row ~m ~n:cn in
-            if not (Givens.is_identity rotation) then begin
-              let len = Mat.Rotseq.length seq in
-              Givens.seq_push_t_dagger_right seq rotation ~nrows:n;
-              Mat.sweep_cols_pre work seq ~rot_lo:len ~rot_hi:(len + 1) ~row_lo:row
-                ~row_hi:(row + 1);
-              Mat.set work row m Cx.zero
-            end;
-            Obs.Counter.incr c_eliminations;
-            elements := { Plan.rotation; row } :: !elements)
-         pairs;
-       let len = Mat.Rotseq.length seq in
-       if len > 0 then
-         (* All rows but the derivation row, which the serial walk
-            already updated; a chunk straddling it splits in two. *)
-         Bose_par.Pool.bulk_iter pool ~n (fun ~lo ~hi ->
-             let sweep row_lo row_hi =
-               if row_hi > row_lo then
-                 Mat.sweep_cols_pre work seq ~rot_lo:0 ~rot_hi:len ~row_lo ~row_hi
-             in
-             if hi <= row || lo > row then sweep lo hi
-             else begin
-               sweep lo row;
-               sweep (row + 1) hi
-             end))
-    schedule
+let walk ?pool ~upto_row sched work emit =
+  let n = sched.modes in
+  if n >= fused_threshold then begin
+    let seq = Mat.Rotseq.create ~capacity:n () in
+    Array.iteri
+      (fun s row ->
+         Mat.Rotseq.clear seq;
+         for k = sched.starts.(s) to sched.starts.(s + 1) - 1 do
+           let m = sched.ms.(k) in
+           let rotation = Givens.solve work ~row ~m ~n:sched.ns.(k) in
+           if not (Givens.is_identity rotation) then begin
+             let len = Mat.Rotseq.length seq in
+             Givens.seq_push_t_dagger_right seq rotation ~nrows:n;
+             Mat.sweep_cols_pre work seq ~rot_lo:len ~rot_hi:(len + 1) ~row_lo:row
+               ~row_hi:(row + 1);
+             Mat.set work row m Cx.zero
+           end;
+           Obs.Counter.incr c_eliminations;
+           emit k row rotation
+         done;
+         let len = Mat.Rotseq.length seq in
+         if len > 0 then
+           (* Every bulk row but the derivation row, which the serial
+              walk already updated; a chunk straddling it splits in two. *)
+           Bose_par.Pool.bulk_iter pool ~n:(if upto_row then row else n) (fun ~lo ~hi ->
+               let sweep row_lo row_hi =
+                 if row_hi > row_lo then
+                   Mat.sweep_cols_pre work seq ~rot_lo:0 ~rot_hi:len ~row_lo ~row_hi
+               in
+               if hi <= row || lo > row then sweep lo hi
+               else begin
+                 sweep lo row;
+                 sweep (row + 1) hi
+               end))
+      sched.rows
+  end
+  else
+    Array.iteri
+      (fun s row ->
+         let nrows = if upto_row then row + 1 else n in
+         for k = sched.starts.(s) to sched.starts.(s + 1) - 1 do
+           let rotation = Givens.eliminate ~nrows work ~row ~m:sched.ms.(k) ~n:sched.ns.(k) in
+           Obs.Counter.incr c_eliminations;
+           emit k row rotation
+         done)
+      sched.rows
+
+let check_size name n u =
+  if Mat.rows u <> n || Mat.cols u <> n then
+    invalid_arg (name ^ ": unitary size does not match pattern")
 
 let run ?ws ?pool pattern u =
-  let n = Pattern.size pattern in
-  if Mat.rows u <> n || Mat.cols u <> n then
-    invalid_arg "Eliminate.decompose: unitary size does not match pattern";
+  check_size "Eliminate.decompose" (Pattern.size pattern) u;
   let work = work_copy ?ws u in
   let elements = ref [] in
-  let schedule = Pattern.full_schedule pattern in
-  if n >= fused_threshold then run_fused ?pool work n schedule elements
-  else
-    List.iter
-      (fun (row, pairs) ->
-         List.iter
-           (fun (m, cn) ->
-              let rotation = Givens.eliminate work ~row ~m ~n:cn in
-              Obs.Counter.incr c_eliminations;
-              elements := { Plan.rotation; row } :: !elements)
-           pairs)
-      schedule;
+  walk ?pool ~upto_row:false (schedule pattern) work (fun _ row rotation ->
+      elements := { Plan.rotation; row } :: !elements);
   (work, Array.of_list (List.rev !elements))
+
+(* What one decomposition adds to the telemetry, for plans and scores
+   alike: a search loop's scores count as decompositions. *)
+let record_decomposition count angle =
+  Obs.Counter.incr c_decompositions;
+  Obs.Counter.incr c_beamsplitters ~by:count;
+  if Obs.enabled () then
+    for i = 0 to count - 1 do
+      Obs.Histo.observe h_angles (angle i)
+    done
 
 let decompose ?ws ?pool pattern u =
   let work, elements = run ?ws ?pool pattern u in
-  Obs.Counter.incr c_decompositions;
-  Obs.Counter.incr c_beamsplitters ~by:(Array.length elements);
-  if Obs.enabled () then
-    Array.iter
-      (fun e -> Obs.Histo.observe h_angles (Float.abs (Givens.theta e.Plan.rotation)))
-      elements;
+  record_decomposition (Array.length elements) (fun i ->
+      Float.abs (Givens.theta elements.(i).Plan.rotation));
   let n = Pattern.size pattern in
   let lambda =
     Array.init n (fun i ->
@@ -108,6 +161,16 @@ let decompose ?ws ?pool pattern u =
         Cx.scale (1. /. modulus) d)
   in
   { Plan.modes = n; elements; lambda }
+
+let angles_into sched ~work u angles =
+  check_size "Eliminate.angles_into" sched.modes u;
+  check_size "Eliminate.angles_into" sched.modes work;
+  if Array.length angles <> rotation_count sched then
+    invalid_arg "Eliminate.angles_into: angle array does not match schedule";
+  Mat.blit u work;
+  walk ~upto_row:true sched work (fun k _ rotation ->
+      angles.(k) <- Float.abs (Givens.theta rotation));
+  record_decomposition (Array.length angles) (Array.get angles)
 
 let decompose_baseline ?ws ?pool u = decompose ?ws ?pool (Pattern.chain (Mat.rows u)) u
 

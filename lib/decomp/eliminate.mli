@@ -23,6 +23,27 @@ val decompose :
     pool or no pool (docs/ARCHITECTURE.md, determinism contract).
     @raise Invalid_argument on a size mismatch or non-square input. *)
 
+type schedule
+(** A pattern's elimination order ({!Bose_hardware.Pattern.full_schedule})
+    flattened into stage rows and pair arrays, for loops that eliminate
+    many matrices along one pattern. *)
+
+val schedule : Bose_hardware.Pattern.t -> schedule
+
+val rotation_count : schedule -> int
+(** Rotations per decomposition: N(N-1)/2. *)
+
+val angles_into :
+  schedule -> work:Bose_linalg.Mat.t -> Bose_linalg.Mat.t -> float array -> unit
+(** [angles_into sched ~work u angles] writes |θ| of every rotation of
+    the decomposition of [u], in plan order, into [angles] (length
+    {!rotation_count}) — bit-identical to
+    [Plan.angles (decompose pattern u)], with the same engine choice and
+    the same telemetry, but without building the plan or Λ. [work] is
+    scratch: [u] is copied into it and each stage rotates only the rows
+    later stages still read. Allocates no matrix.
+    @raise Invalid_argument on a size mismatch. *)
+
 val decompose_baseline :
   ?ws:Bose_linalg.Mat.workspace -> ?pool:Bose_par.Pool.t -> Bose_linalg.Mat.t -> Plan.t
 (** Chain-pattern decomposition (Reck-style, the paper's baseline),

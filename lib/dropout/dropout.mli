@@ -53,6 +53,16 @@ val sample_kept : Bose_util.Rng.t -> policy -> Plan.t -> bool array
 (** One per-shot selection: a keep-mask with exactly [kept_count]
     rotations kept, drawn from the policy distribution. *)
 
+val kept_of_keys :
+  ?heap:int array -> keys:float array -> ties:float array -> int -> bool array
+(** [kept_of_keys ~keys ~ties m] keeps the [m] indices with the largest
+    (key, tie) pairs — exactly the first [m] of
+    [Bose_util.Rng.es_order ~keys ~ties], ties among equal pairs
+    included — by a bounded heap over the dropped rest. The selection
+    step of {!sample_kept}, exposed so tests can feed it exact ties.
+    [?heap] (length ≥ the key count) is scratch reused across calls.
+    @raise Invalid_argument unless 0 ≤ [m] ≤ the key count. *)
+
 val hard_kept : policy -> Plan.t -> bool array
 (** Deterministic mask keeping the [kept_count] largest angles — the
     Rot-Cut behaviour, also the K → ∞ limit. *)

@@ -117,23 +117,28 @@ let restrict t k =
   { size = k; neighbors; main; sites; main_order }
 
 (* Stage with [stage] active labels 0..stage-1, rooted at stage-1: emit
-   (child, parent) edges in post-order, visiting larger subtrees first. *)
+   (child, parent) edges in post-order, visiting larger subtrees first
+   (ties by lower label). One DFS sizes every subtree of the rooted
+   stage tree up front, so a stage costs O(stage) plus the child sorts
+   and [full_schedule] O(N²). *)
 let schedule t ~stage =
   if stage < 2 || stage > t.size then invalid_arg "Pattern.schedule: stage out of range";
   let root = stage - 1 in
-  let active w = w < stage in
-  let rec subtree_size v from =
-    1
-    + List.fold_left
-        (fun acc w -> if w = from || not (active w) then acc else acc + subtree_size w v)
-        0 t.neighbors.(v)
+  let children v from = List.filter (fun w -> w <> from && w < stage) t.neighbors.(v) in
+  let size = Array.make stage 0 in
+  let rec measure v from =
+    let s = List.fold_left (fun acc w -> acc + measure w v) 1 (children v from) in
+    size.(v) <- s;
+    s
+  in
+  ignore (measure root (-1));
+  let larger_first a b =
+    let c = Int.compare size.(b) size.(a) in
+    if c <> 0 then c else Int.compare a b
   in
   let out = ref [] in
   let rec visit v from =
-    let children = List.filter (fun w -> w <> from && active w) t.neighbors.(v) in
-    let sized = List.map (fun w -> (subtree_size w v, w)) children in
-    let ordered = List.sort (fun (sa, a) (sb, b) -> compare (sb, a) (sa, b)) sized in
-    List.iter (fun (_, w) -> visit w v) ordered;
+    List.iter (fun w -> visit w v) (List.sort larger_first (children v from));
     if from >= 0 then out := (v, from) :: !out
   in
   visit root (-1);

@@ -67,7 +67,7 @@ val schedule : t -> stage:int -> (int * int) list
 
 val full_schedule : t -> (int * (int * int) list) list
 (** [(row, eliminations)] for rows [size-1] down to [1], in elimination
-    order. Total pair count is N(N-1)/2. *)
+    order. Total pair count is N(N-1)/2, built in O(N²) time. *)
 
 val validate : t -> (string, string) result
 (** Structural self-check; [Error] describes the first violation. *)

@@ -17,7 +17,7 @@ type plane = (float, Bigarray.float64_elt, Bigarray.c_layout) A1.t
 type t = { re : plane; im : plane; nrows : int; ncols : int }
 
 (* Matrices allocated since program start — the denominator of the
-   allocation gauges (compile.mats_allocated, map.polish_mats_per_trial).
+   allocation gauge (compile.mats_allocated).
    Every constructor funnels through [create]. Atomic, because pool
    workers (bose_par) allocate concurrently. [offheap_bytes] counts the
    cumulative plane bytes handed to malloc by Bigarray — the off-heap

@@ -14,7 +14,6 @@ let c_polish_accepted = Obs.Counter.make "map.polish_accepted"
 let g_indicator_k = Obs.Gauge.make "map.indicator_k"
 let g_small_angles = Obs.Gauge.make "map.small_angles"
 let g_amplitude_gain = Obs.Gauge.make "map.amplitude_gain"
-let g_polish_mats = Obs.Gauge.make "map.polish_mats_per_trial"
 
 type t = {
   permuted : Mat.t;
@@ -209,32 +208,67 @@ let optimize ?ws ?(theta_threshold = 0.1) ?candidate_ks pattern u =
   Obs.Gauge.set g_small_angles (float_of_int best.small_angles);
   best
 
-(* Rotations droppable within the (1−τ)·N trace budget, counting each
-   dropped rotation's exact cost 2(1 − cos θ). *)
-let droppable_within plan ~tau =
-  let n = plan.Plan.modes in
-  let budget = (1. -. tau) *. float_of_int n in
-  let a = Plan.angles plan in
-  Array.sort compare a;
-  let rec go i acc =
-    if i >= Array.length a then i
-    else begin
-      let acc = acc +. (2. *. (1. -. cos a.(i))) in
-      if acc > budget then i else go (i + 1) acc
+(* Rotations droppable within a trace budget, counting each dropped
+   rotation's exact cost 2(1 − cos θ), smallest angle first. The angles
+   come off an in-place min-heap in the ascending order a full sort
+   would give, and the sum stops at the first that overflows, so the
+   count is the sort's with O(n + k log n) work and no allocation.
+   Destroys [a]. *)
+let droppable_within a ~budget =
+  let len = Array.length a in
+  let rec sift size i =
+    let l = (2 * i) + 1 in
+    if l < size then begin
+      let c = if l + 1 < size && Float.compare a.(l + 1) a.(l) < 0 then l + 1 else l in
+      if Float.compare a.(c) a.(i) < 0 then begin
+        let t = a.(i) in
+        a.(i) <- a.(c);
+        a.(c) <- t;
+        sift size c
+      end
     end
   in
-  go 0 0.
+  for i = (len / 2) - 1 downto 0 do
+    sift len i
+  done;
+  let rec pop size acc =
+    if size = 0 then len
+    else begin
+      let acc = acc +. (2. *. (1. -. cos a.(0))) in
+      if acc > budget then len - size
+      else begin
+        a.(0) <- a.(size - 1);
+        sift (size - 1) 0;
+        pop (size - 1) acc
+      end
+    end
+  in
+  pop len 0.
 
+(* Each trial scores a swap by the rotations droppable within the
+   (1−τ)·N budget. The schedule, the work matrix and the angle array
+   are set up once; a trial is one blit and one score-only walk. *)
 let polish ?ws ?(trials = 400) ?(tau = 0.95) ~rng pattern t =
   let n = Mat.rows t.permuted in
   let w = Mat.copy t.permuted in
   let col_perm = ref t.col_perm and row_perm = ref t.row_perm in
-  let score () = droppable_within (Eliminate.decompose ?ws pattern w) ~tau in
+  let sched = Eliminate.schedule pattern in
+  let work =
+    match ws with
+    | Some ws -> Mat.scratch ~slot:Mat.Slot.elimination ws n n
+    | None -> Mat.create n n
+  in
+  let angles = Array.make (Eliminate.rotation_count sched) 0. in
+  let budget = (1. -. tau) *. float_of_int n in
+  let score () =
+    Eliminate.angles_into sched ~work w angles;
+    droppable_within angles ~budget
+  in
   let best = ref (score ()) in
-  let mats_before = Mat.allocations () in
   for _ = 1 to trials do
     Obs.Counter.incr c_polish_trials;
-    let a = Bose_util.Rng.int rng n and b = Bose_util.Rng.int rng n in
+    let a = Bose_util.Rng.int rng n in
+    let b = Bose_util.Rng.int rng n in
     if a <> b then begin
       let swap_rows = Bose_util.Rng.bool rng in
       if swap_rows then Mat.swap_rows w a b else Mat.swap_cols w a b;
@@ -249,9 +283,6 @@ let polish ?ws ?(trials = 400) ?(tau = 0.95) ~rng pattern t =
       else Mat.swap_cols w a b
     end
   done;
-  if trials > 0 then
-    Obs.Gauge.set g_polish_mats
-      (float_of_int (Mat.allocations () - mats_before) /. float_of_int trials);
   let plan = Eliminate.decompose ?ws pattern w in
   let small = Plan.small_angle_count plan ~threshold:0.1 in
   Obs.Gauge.set g_small_angles (float_of_int small);

@@ -52,13 +52,15 @@ val polish :
     swaps of the permuted unitary are accepted whenever they increase
     the number of rotations droppable within the fidelity budget
     (1 − [tau])·N (default τ = 0.95 as a generic proxy), measured by an
-    actual decomposition. Each trial costs one O(N³) elimination, so
-    [trials] (default 400) should shrink with N — the compiler scales it.
-    The accepted swaps are composed into the returned permutations, so
-    the §V-B relabeling identity keeps holding. With [?ws] each trial's
-    elimination reuses the workspace's work matrix, dropping the loop to
-    O(1) matrix allocations total (reported by the
-    [map.polish_mats_per_trial] gauge). *)
+    actual elimination ({!Bose_decomp.Eliminate.angles_into}, the
+    decomposition's angles without its plan). Each trial costs one
+    O(N³) elimination, so [trials] (default 400) should shrink with N —
+    the compiler scales it. The accepted swaps are composed into the
+    returned permutations, so the §V-B relabeling identity keeps
+    holding. The loop allocates one matrix, the working copy of the
+    permuted unitary; with [?ws] the trials eliminate in the
+    workspace's work matrix, otherwise in one more matrix of their
+    own. *)
 
 val main_region_row_mass : Bose_hardware.Pattern.t -> Bose_linalg.Mat.t -> float array
 (** α_i = Σ_{j ∈ main region} |u_ij|² for every row — §V-D's indicator

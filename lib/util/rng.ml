@@ -1,6 +1,16 @@
-(* xoshiro256** with splitmix64 seeding, after Blackman & Vigna. *)
+(* xoshiro256** with splitmix64 seeding, after Blackman & Vigna. The
+   four state words live unboxed in 32 bytes: mutable int64 record
+   fields would box every word stored, four allocations per draw. The
+   state never leaves the process and every [t] is 32 bytes, so the
+   words are read native-endian without bounds checks. *)
 
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+type t = Bytes.t
+
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let[@inline] word t i = get64u t (8 * i)
+let[@inline] set_word t i v = set64u t (8 * i) v
 
 let splitmix64 state =
   let open Int64 in
@@ -10,37 +20,31 @@ let splitmix64 state =
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)
 
-let create seed =
-  let state = ref (Int64.of_int seed) in
-  let s0 = splitmix64 state in
-  let s1 = splitmix64 state in
-  let s2 = splitmix64 state in
-  let s3 = splitmix64 state in
-  { s0; s1; s2; s3 }
-
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
-
-let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
-
-let bits64 t =
-  let open Int64 in
-  let result = mul (rotl (mul t.s1 5L) 7) 9L in
-  let x = shift_left t.s1 17 in
-  t.s2 <- logxor t.s2 t.s0;
-  t.s3 <- logxor t.s3 t.s1;
-  t.s1 <- logxor t.s1 t.s2;
-  t.s0 <- logxor t.s0 t.s3;
-  t.s2 <- logxor t.s2 x;
-  t.s3 <- rotl t.s3 45;
-  result
-
 let of_key key =
   let state = ref key in
-  let s0 = splitmix64 state in
-  let s1 = splitmix64 state in
-  let s2 = splitmix64 state in
-  let s3 = splitmix64 state in
-  { s0; s1; s2; s3 }
+  let t = Bytes.create 32 in
+  for i = 0 to 3 do
+    set_word t i (splitmix64 state)
+  done;
+  t
+
+let create seed = of_key (Int64.of_int seed)
+
+let copy = Bytes.copy
+
+let[@inline] rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+
+let[@inline] bits64 t =
+  let open Int64 in
+  let s0 = word t 0 and s1 = word t 1 and s2 = word t 2 and s3 = word t 3 in
+  let result = mul (rotl (mul s1 5L) 7) 9L in
+  let s2 = logxor s2 s0 in
+  let s3 = logxor s3 s1 in
+  set_word t 1 (logxor s1 s2);
+  set_word t 0 (logxor s0 s3);
+  set_word t 2 (logxor s2 (shift_left s1 17));
+  set_word t 3 (rotl s3 45);
+  result
 
 let split t n =
   if n < 0 then invalid_arg "Rng.split: negative stream count";
@@ -56,7 +60,7 @@ let split t n =
 let same a b = a == b
 
 (* Take the top 53 bits for a uniform double in [0, 1). *)
-let uniform t =
+let[@inline] uniform t =
   let bits = Int64.shift_right_logical (bits64 t) 11 in
   Int64.to_float bits *. 0x1p-53
 
@@ -121,18 +125,27 @@ let choose_weighted t w =
    replacement, and runs in O(n log n) instead of O(m·n). Zero-weight
    indices get key -∞ with a uniform tie-break, so they are only chosen
    once every positive weight is exhausted. *)
+let es_keys t w ~keys ~ties =
+  let n = Array.length w in
+  if Array.length keys <> n || Array.length ties <> n then
+    invalid_arg "Rng.es_keys: key arrays do not match the weights";
+  Array.iter (fun x -> if x < 0. then invalid_arg "Rng.es_keys: negative weight") w;
+  for i = 0 to n - 1 do
+    let u = uniform t in
+    let tie = uniform t in
+    keys.(i) <- (if w.(i) > 0. then log (Float.max u 1e-300) /. w.(i) else neg_infinity);
+    ties.(i) <- tie
+  done
+
+let es_order ~keys ~ties =
+  let ranked = Array.mapi (fun i key -> (key, ties.(i), i)) keys in
+  Array.sort (fun (ka, ta, _) (kb, tb, _) -> compare (kb, tb) (ka, ta)) ranked;
+  Array.map (fun (_, _, i) -> i) ranked
+
 let sample_without_replacement t w m =
   let n = Array.length w in
   if m > n then invalid_arg "Rng.sample_without_replacement: m > n";
-  Array.iter
-    (fun x -> if x < 0. then invalid_arg "Rng.sample_without_replacement: negative weight")
-    w;
-  let keys =
-    Array.init n (fun i ->
-        let u = uniform t in
-        let tie = uniform t in
-        let key = if w.(i) > 0. then log (Float.max u 1e-300) /. w.(i) else neg_infinity in
-        (key, tie, i))
-  in
-  Array.sort (fun (ka, ta, _) (kb, tb, _) -> compare (kb, tb) (ka, ta)) keys;
-  List.init m (fun r -> let _, _, i = keys.(r) in i)
+  let keys = Array.make n 0. and ties = Array.make n 0. in
+  es_keys t w ~keys ~ties;
+  let order = es_order ~keys ~ties in
+  List.init m (fun r -> order.(r))

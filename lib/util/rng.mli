@@ -76,5 +76,21 @@ val choose_weighted : t -> float array -> int
 val sample_without_replacement : t -> float array -> int -> int list
 (** [sample_without_replacement rng w m] draws [m] distinct indices, each
     round proportionally to the remaining weights. Indices with zero weight
-    are drawn only after all positive-weight indices are exhausted.
-    @raise Invalid_argument if [m] exceeds the number of indices. *)
+    are drawn only after all positive-weight indices are exhausted. It is
+    {!es_keys} followed by the first [m] entries of {!es_order}.
+    @raise Invalid_argument if [m] exceeds the number of indices or a
+    weight is negative. *)
+
+val es_keys : t -> float array -> keys:float array -> ties:float array -> unit
+(** [es_keys rng w ~keys ~ties] draws the Efraimidis–Spirakis key of
+    every index, in index order: a uniform u, then a uniform tie-break,
+    with key log(max u 1e-300)/w{_i} (−∞ for a zero weight). The [m]
+    largest (key, tie) pairs are a weighted sample of [m] indices
+    without replacement.
+    @raise Invalid_argument on a negative weight (before any draw) or
+    arrays of different lengths. *)
+
+val es_order : keys:float array -> ties:float array -> int array
+(** Indices by descending (key, tie), pairs compared with [compare];
+    the order among exactly equal pairs is that of the stdlib
+    [Array.sort], which {!sample_without_replacement} inherits. *)

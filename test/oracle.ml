@@ -1,0 +1,311 @@
+(* Reference implementations kept for the bit-identity tests in
+   test_oracle.ml: the elimination schedule builder, the decomposition,
+   the mapping polish loop, the dropout policy search and the
+   xoshiro256** generator as they were before the per-trial overhead
+   was taken out of polish and dropout. They are slow on purpose —
+   full decompositions per trial, polymorphic sorts, a boxed RNG state
+   — and the library's versions must reproduce their every bit. *)
+
+module Cx = Bose_linalg.Cx
+module Mat = Bose_linalg.Mat
+module Perm = Bose_linalg.Perm
+module Givens = Bose_linalg.Givens
+module Pattern = Bose_hardware.Pattern
+module Plan = Bose_decomp.Plan
+module Mapping = Bose_mapping.Mapping
+module Dropout = Bose_dropout.Dropout
+
+(* xoshiro256** over a record of mutable int64 fields. *)
+module Rng = struct
+  type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+
+  let splitmix64 state =
+    let open Int64 in
+    state := add !state 0x9E3779B97F4A7C15L;
+    let z = !state in
+    let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+    let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
+    logxor z (shift_right_logical z 31)
+
+  let create seed =
+    let state = ref (Int64.of_int seed) in
+    let s0 = splitmix64 state in
+    let s1 = splitmix64 state in
+    let s2 = splitmix64 state in
+    let s3 = splitmix64 state in
+    { s0; s1; s2; s3 }
+
+  let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
+
+  let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+
+  let bits64 t =
+    let open Int64 in
+    let result = mul (rotl (mul t.s1 5L) 7) 9L in
+    let x = shift_left t.s1 17 in
+    t.s2 <- logxor t.s2 t.s0;
+    t.s3 <- logxor t.s3 t.s1;
+    t.s1 <- logxor t.s1 t.s2;
+    t.s0 <- logxor t.s0 t.s3;
+    t.s2 <- logxor t.s2 x;
+    t.s3 <- rotl t.s3 45;
+    result
+
+  let of_key key =
+    let state = ref key in
+    let s0 = splitmix64 state in
+    let s1 = splitmix64 state in
+    let s2 = splitmix64 state in
+    let s3 = splitmix64 state in
+    { s0; s1; s2; s3 }
+
+  let split t n =
+    let children = Array.make n t in
+    for i = 0 to n - 1 do
+      children.(i) <- of_key (bits64 t)
+    done;
+    children
+
+  let uniform t =
+    let bits = Int64.shift_right_logical (bits64 t) 11 in
+    Int64.to_float bits *. 0x1p-53
+
+  let int t bound =
+    let bound64 = Int64.of_int bound in
+    let mask =
+      let rec widen m =
+        if Int64.unsigned_compare m bound64 >= 0 then m
+        else widen Int64.(logor (shift_left m 1) 1L)
+      in
+      widen 1L
+    in
+    let rec draw () =
+      let v = Int64.logand (bits64 t) mask in
+      if Int64.unsigned_compare v bound64 < 0 then Int64.to_int v else draw ()
+    in
+    draw ()
+
+  let bool t = Int64.compare (Int64.logand (bits64 t) 1L) 0L <> 0
+
+  let sample_without_replacement t w m =
+    let n = Array.length w in
+    if m > n then invalid_arg "Rng.sample_without_replacement: m > n";
+    let keys =
+      Array.init n (fun i ->
+          let u = uniform t in
+          let tie = uniform t in
+          let key = if w.(i) > 0. then log (Float.max u 1e-300) /. w.(i) else neg_infinity in
+          (key, tie, i))
+    in
+    Array.sort (fun (ka, ta, _) (kb, tb, _) -> compare (kb, tb) (ka, ta)) keys;
+    List.init m (fun r ->
+        let _, _, i = keys.(r) in
+        i)
+end
+
+(* The first [m] indices by descending (key, tie), sorted exactly as the
+   sampler above sorts — the selection the dropout masks must match. *)
+let kept_by_sort ~keys ~ties m =
+  let ranked = Array.init (Array.length keys) (fun i -> (keys.(i), ties.(i), i)) in
+  Array.sort (fun (ka, ta, _) (kb, tb, _) -> compare (kb, tb) (ka, ta)) ranked;
+  let kept = Array.make (Array.length keys) false in
+  for r = 0 to m - 1 do
+    let _, _, i = ranked.(r) in
+    kept.(i) <- true
+  done;
+  kept
+
+(* Schedule builder that re-sizes every subtree at every node. *)
+let schedule t ~stage =
+  let root = stage - 1 in
+  let active w = w < stage in
+  let rec subtree_size v from =
+    1
+    + List.fold_left
+        (fun acc w -> if w = from || not (active w) then acc else acc + subtree_size w v)
+        0 (Pattern.neighbors t v)
+  in
+  let out = ref [] in
+  let rec visit v from =
+    let children = List.filter (fun w -> w <> from && active w) (Pattern.neighbors t v) in
+    let sized = List.map (fun w -> (subtree_size w v, w)) children in
+    let ordered = List.sort (fun (sa, a) (sb, b) -> compare (sb, a) (sa, b)) sized in
+    List.iter (fun (_, w) -> visit w v) ordered;
+    if from >= 0 then out := (v, from) :: !out
+  in
+  visit root (-1);
+  List.rev !out
+
+let full_schedule t =
+  let size = Pattern.size t in
+  List.filter_map
+    (fun i ->
+       let stage = size - i in
+       if stage < 2 then None else Some (stage - 1, schedule t ~stage))
+    (List.init (size - 1) (fun i -> i))
+
+(* Decomposition with a fresh work matrix per call, the rotations kept
+   in a list: per-call column kernels below Mat.blocking_threshold, the
+   fused stage sweeps (serially) at or above it. *)
+let decompose pattern u =
+  let n = Pattern.size pattern in
+  let work = Mat.copy u in
+  let elements = ref [] in
+  let schedule = full_schedule pattern in
+  if n >= Mat.blocking_threshold then begin
+    let seq = Mat.Rotseq.create ~capacity:n () in
+    List.iter
+      (fun (row, pairs) ->
+         Mat.Rotseq.clear seq;
+         List.iter
+           (fun (m, cn) ->
+              let rotation = Givens.solve work ~row ~m ~n:cn in
+              if not (Givens.is_identity rotation) then begin
+                let len = Mat.Rotseq.length seq in
+                Givens.seq_push_t_dagger_right seq rotation ~nrows:n;
+                Mat.sweep_cols_pre work seq ~rot_lo:len ~rot_hi:(len + 1) ~row_lo:row
+                  ~row_hi:(row + 1);
+                Mat.set work row m Cx.zero
+              end;
+              elements := { Plan.rotation; row } :: !elements)
+           pairs;
+         let len = Mat.Rotseq.length seq in
+         if len > 0 then begin
+           Mat.sweep_cols_pre work seq ~rot_lo:0 ~rot_hi:len ~row_lo:0 ~row_hi:row;
+           Mat.sweep_cols_pre work seq ~rot_lo:0 ~rot_hi:len ~row_lo:(row + 1) ~row_hi:n
+         end)
+      schedule
+  end
+  else
+    List.iter
+      (fun (row, pairs) ->
+         List.iter
+           (fun (m, cn) ->
+              let rotation = Givens.eliminate work ~row ~m ~n:cn in
+              elements := { Plan.rotation; row } :: !elements)
+           pairs)
+      schedule;
+  let lambda =
+    Array.init n (fun i ->
+        let d = Mat.get work i i in
+        Cx.scale (1. /. Cx.abs d) d)
+  in
+  { Plan.modes = n; elements = Array.of_list (List.rev !elements); lambda }
+
+(* Polish scoring a full decomposition per trial with a polymorphic
+   sort. The pre-change loop drew [a] and [b] with [let … and …], which
+   ocamlopt evaluates left to right; the sequential lets here pin that
+   order. *)
+let droppable_within plan ~tau =
+  let budget = (1. -. tau) *. float_of_int plan.Plan.modes in
+  let a = Plan.angles plan in
+  Array.sort compare a;
+  let rec go i acc =
+    if i >= Array.length a then i
+    else begin
+      let acc = acc +. (2. *. (1. -. cos a.(i))) in
+      if acc > budget then i else go (i + 1) acc
+    end
+  in
+  go 0 0.
+
+let polish ~trials ~tau ~rng pattern (t : Mapping.t) =
+  let n = Mat.rows t.Mapping.permuted in
+  let w = Mat.copy t.Mapping.permuted in
+  let col_perm = ref t.Mapping.col_perm and row_perm = ref t.Mapping.row_perm in
+  let score () = droppable_within (decompose pattern w) ~tau in
+  let best = ref (score ()) in
+  for _ = 1 to trials do
+    let a = Rng.int rng n in
+    let b = Rng.int rng n in
+    if a <> b then begin
+      let swap_rows = Rng.bool rng in
+      if swap_rows then Mat.swap_rows w a b else Mat.swap_cols w a b;
+      let s = score () in
+      if s >= !best then begin
+        best := s;
+        if swap_rows then row_perm := Perm.compose (Perm.swap n a b) !row_perm
+        else col_perm := Perm.compose (Perm.swap n a b) !col_perm
+      end
+      else if swap_rows then Mat.swap_rows w a b
+      else Mat.swap_cols w a b
+    end
+  done;
+  let plan = decompose pattern w in
+  {
+    Mapping.permuted = w;
+    row_perm = !row_perm;
+    col_perm = !col_perm;
+    indicator_k = t.Mapping.indicator_k;
+    small_angles = Plan.small_angle_count plan ~threshold:0.1;
+  }
+
+(* Dropout policy search: the angle order re-sorted at every threshold
+   probe, every mask from a full sort of its sampling keys. *)
+let mask_dropping_smallest plan d =
+  let a = Plan.angles plan in
+  let order = Array.init (Array.length a) (fun i -> i) in
+  Array.sort (fun i j -> compare a.(i) a.(j)) order;
+  let kept = Array.make (Array.length a) true in
+  for r = 0 to d - 1 do
+    kept.(order.(r)) <- false
+  done;
+  kept
+
+let find_threshold plan u ~tau =
+  let a = Plan.angles plan in
+  let total = Array.length a in
+  let sorted = Array.copy a in
+  Array.sort compare sorted;
+  let lo = ref 0 and hi = ref total in
+  while !hi > !lo do
+    let mid = (!lo + !hi + 1) / 2 in
+    if Plan.fidelity ~kept:(mask_dropping_smallest plan mid) plan u >= tau then lo := mid
+    else hi := mid - 1
+  done;
+  let d = !lo in
+  ((if d = 0 then 0. else sorted.(d - 1)), total - d)
+
+let make_weights angles theta_cut power =
+  let cut = Float.max theta_cut 1e-12 in
+  Array.map
+    (fun th ->
+       if th <= 0. then 0.
+       else exp (Float.min 600. (float_of_int power *. (log th -. log cut))))
+    angles
+
+let sample_mask rng weights kept_count =
+  let kept = Array.make (Array.length weights) false in
+  List.iter (fun i -> kept.(i) <- true) (Rng.sample_without_replacement rng weights kept_count);
+  kept
+
+let make_policy ?(powers = [ 1; 2; 5; 10; 20; 50; 100 ]) ?(iterations = 40) rng plan u ~tau =
+  let theta_cut, kept_count = find_threshold plan u ~tau in
+  let angles = Plan.angles plan in
+  let total = Array.length angles in
+  if kept_count >= total then
+    {
+      Dropout.tau;
+      theta_cut = 0.;
+      kept_count = total;
+      power = 1;
+      weights = Array.make total 1.;
+      expected_fidelity = 1.;
+    }
+  else begin
+    let evaluate power =
+      let weights = make_weights angles theta_cut power in
+      let acc = ref 0. in
+      for _ = 1 to iterations do
+        acc := !acc +. Plan.fidelity ~kept:(sample_mask rng weights kept_count) plan u
+      done;
+      (power, weights, !acc /. float_of_int iterations)
+    in
+    let candidates = List.map evaluate powers in
+    let power, weights, expected_fidelity =
+      List.fold_left
+        (fun (bp, bw, bf) (p, w, f) -> if f > bf then (p, w, f) else (bp, bw, bf))
+        (List.hd candidates) (List.tl candidates)
+    in
+    { Dropout.tau; theta_cut; kept_count; power; weights; expected_fidelity }
+  end
