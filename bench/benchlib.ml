@@ -4,6 +4,7 @@
    experiments (see DESIGN.md, substitutions). *)
 
 module Rng = Bose_util.Rng
+module Json = Bose_util.Json
 module Cx = Bose_linalg.Cx
 module Lattice = Bose_hardware.Lattice
 module Obs = Bose_obs.Obs
@@ -42,28 +43,21 @@ module Telemetry = struct
     match List.rev !rows with
     | [] -> ()
     | entries ->
-      let buf = Buffer.create 4096 in
-      Buffer.add_string buf "{\"version\":1,\"rows\":[";
-      List.iteri
-        (fun i e ->
-           if i > 0 then Buffer.add_char buf ',';
-           (* Labels are printf-generated ASCII; escape the quotes and
-              backslashes anyway. *)
-           let escape s =
-             String.concat ""
-               (List.map
-                  (function
-                    | '"' -> "\\\"" | '\\' -> "\\\\" | c -> String.make 1 c)
-                  (List.init (String.length s) (String.get s)))
-           in
-           Buffer.add_string buf
-             (Printf.sprintf "{\"experiment\":\"%s\",\"row\":\"%s\",\"report\":%s}"
-                (escape e.experiment) (escape e.row)
-                (Obs.Report.to_json e.report)))
-        entries;
-      Buffer.add_string buf "]}\n";
+      let of_entry e =
+        Json.Obj
+          [
+            ("experiment", Json.Str e.experiment);
+            ("row", Json.Str e.row);
+            ("report", Obs.Report.to_json e.report);
+          ]
+      in
+      let doc =
+        Json.Obj
+          [ ("version", Json.Num 1.); ("rows", Json.List (List.map of_entry entries)) ]
+      in
       let oc = open_out (out_path ()) in
-      output_string oc (Buffer.contents buf);
+      output_string oc (Json.to_string doc);
+      output_char oc '\n';
       close_out oc;
       Printf.printf "\n[bench] telemetry for %d rows written to %s\n"
         (List.length entries) (out_path ());

@@ -4,67 +4,48 @@
 
      check_regression [--require GAUGE]... BENCH_TELEMETRY.json bench_floors.json
 
-   Dependency-free on purpose — it string-scans the two compact JSON
-   files (both are machine-written by this repo, never hand-edited)
-   instead of pulling in a parser. A floor whose row or gauge is absent
-   from the telemetry is reported as SKIP and does not fail the gate:
-   the parallel-scaling rows only exist on hosts with enough cores
-   (bench_micro.ml gates them on [Domain.recommended_domain_count]), so
-   the speedup floors bind on multi-core CI runners without producing
-   false failures on single-core boxes. Skipped floors are enumerated
-   in a trailing WARN line so CI logs show exactly which floors did not
-   bind. On lanes that are supposed to have the cores, pass
-   [--require GAUGE] (repeatable): a SKIP on a floor whose gauge is in
-   the required set becomes a FAIL instead of silently not binding. A
-   present value below its floor, or above its ceiling, exits 1. *)
+   Both files are read with the repository's JSON codec
+   (Bose_util.Json). A floor whose row is absent from the telemetry is
+   reported as SKIP and does not fail the gate: the parallel-scaling
+   rows only exist on hosts with enough cores (bench_micro.ml gates
+   them on [Domain.recommended_domain_count]), so the speedup floors
+   bind on multi-core CI runners without producing false failures on
+   single-core boxes. Skipped floors are enumerated in a trailing WARN
+   line so CI logs show exactly which floors did not bind. On lanes
+   that are supposed to have the cores, pass [--require GAUGE]
+   (repeatable): a SKIP on a floor whose gauge is in the required set
+   becomes a FAIL instead of silently not binding. A present row whose
+   floored gauge is missing or not a number (a NaN gauge is written as
+   null) fails, as does a present value below its floor or above its
+   ceiling; any FAIL exits 1. *)
 
-let read_file path =
+module Json = Bose_util.Json
+
+let die fmt =
+  Printf.ksprintf
+    (fun msg ->
+       prerr_endline ("check_regression: " ^ msg);
+       exit 2)
+    fmt
+
+let read_json path =
   let ic = open_in_bin path in
   let s = really_input_string ic (in_channel_length ic) in
   close_in ic;
-  s
+  match Json.parse s with Ok v -> v | Error msg -> die "%s: %s" path msg
 
-let find_from s pos sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i =
-    if i + m > n then None
-    else if String.sub s i m = sub then Some i
-    else go (i + 1)
-  in
-  go (max 0 pos)
+let list key v = match Json.mem key v with Some (Json.List xs) -> xs | _ -> []
+let str key v = Option.bind (Json.mem key v) Json.str
 
-let parse_float_at s pos =
-  let n = String.length s in
-  let j = ref pos in
-  while
-    !j < n
-    && (match s.[!j] with
-        | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-        | _ -> false)
-  do
-    incr j
-  done;
-  if !j = pos then None else float_of_string_opt (String.sub s pos (!j - pos))
-
-(* The telemetry writer emits one object per row containing
-   ["row":"<label>", ... "gauges":[{"name":...,"value":...},...]]; the
-   slice between this row's label and the next row label (or EOF) is
-   exactly this row's report. *)
+(* [None] when no telemetry row carries this label; otherwise the
+   row's gauge, [Some None] when it is missing or not a number. *)
 let gauge_value telemetry ~row ~gauge =
-  let anchor = Printf.sprintf "\"row\":%S" row in
-  match find_from telemetry 0 anchor with
-  | None -> None
-  | Some i ->
-    let after = i + String.length anchor in
-    let slice_end =
-      match find_from telemetry after "\"row\":\"" with
-      | Some j -> j
-      | None -> String.length telemetry
-    in
-    let needle = Printf.sprintf "\"name\":%S,\"value\":" gauge in
-    (match find_from telemetry after needle with
-     | Some k when k < slice_end -> parse_float_at telemetry (k + String.length needle)
-     | Some _ | None -> None)
+  List.find_opt (fun r -> str "row" r = Some row) (list "rows" telemetry)
+  |> Option.map (fun r ->
+      let report = Option.value ~default:Json.Null (Json.mem "report" r) in
+      match List.find_opt (fun g -> str "name" g = Some gauge) (list "gauges" report) with
+      | Some g -> Option.bind (Json.mem "value" g) Json.num
+      | None -> None)
 
 (* Floors file shape (see bench/bench_floors.json):
    {"version":1,"floors":[{"row":"...","gauge":"...","min":N},...]}
@@ -72,44 +53,28 @@ let gauge_value telemetry ~row ~gauge =
    a ceiling the measured value must not exceed. *)
 type bound = Min of float | Max of float
 
-let parse_floors s =
-  let rec go pos acc =
-    match find_from s pos "{\"row\":\"" with
-    | None -> List.rev acc
-    | Some i ->
-      let start = i + 8 in
-      let row_end = String.index_from s start '"' in
-      let row = String.sub s start (row_end - start) in
-      let gauge_key = "\"gauge\":\"" in
-      let gi =
-        match find_from s row_end gauge_key with
-        | Some g -> g + String.length gauge_key
-        | None -> failwith (Printf.sprintf "floors: row %S has no \"gauge\"" row)
-      in
-      let gauge_end = String.index_from s gi '"' in
-      let gauge = String.sub s gi (gauge_end - gi) in
-      let entry_end = String.index_from s gauge_end '}' in
-      let key name =
-        match find_from s gauge_end (Printf.sprintf "\"%s\":" name) with
-        | Some k when k < entry_end -> Some (k + String.length name + 3)
-        | Some _ | None -> None
-      in
-      let value at =
-        match parse_float_at s at with
-        | Some v -> v
-        | None -> failwith (Printf.sprintf "floors: row %S has a non-numeric bound" row)
-      in
-      let bound =
-        match (key "min", key "max") with
-        | Some at, None -> Min (value at)
-        | None, Some at -> Max (value at)
-        | Some _, Some _ ->
-          failwith (Printf.sprintf "floors: row %S has both \"min\" and \"max\"" row)
-        | None, None -> failwith (Printf.sprintf "floors: row %S has no \"min\" or \"max\"" row)
-      in
-      go entry_end ((row, gauge, bound) :: acc)
+let floor_of f =
+  let row =
+    match str "row" f with Some r -> r | None -> die "floors: entry without \"row\""
   in
-  go 0 []
+  let gauge =
+    match str "gauge" f with
+    | Some g -> g
+    | None -> die "floors: row %S has no \"gauge\"" row
+  in
+  let bound key =
+    Option.map
+      (fun v ->
+         match Json.num v with
+         | Some x -> x
+         | None -> die "floors: row %S has a non-numeric bound" row)
+      (Json.mem key f)
+  in
+  match (bound "min", bound "max") with
+  | Some v, None -> (row, gauge, Min v)
+  | None, Some v -> (row, gauge, Max v)
+  | Some _, Some _ -> die "floors: row %S has both \"min\" and \"max\"" row
+  | None, None -> die "floors: row %S has no \"min\" or \"max\"" row
 
 let usage () =
   prerr_endline
@@ -136,12 +101,9 @@ let () =
     | [ t; f ] -> (t, f)
     | _ -> usage ()
   in
-  let telemetry = read_file telemetry_path in
-  let floors = parse_floors (read_file floors_path) in
-  if floors = [] then begin
-    Printf.eprintf "check_regression: no floors parsed from %s\n" floors_path;
-    exit 2
-  end;
+  let telemetry = read_json telemetry_path in
+  let floors = List.map floor_of (list "floors" (read_json floors_path)) in
+  if floors = [] then die "no floors parsed from %s" floors_path;
   let required_gauge g = List.mem g !required in
   let failed = ref 0 and skipped = ref 0 in
   let skipped_floors = ref [] in
@@ -156,14 +118,17 @@ let () =
          incr skipped;
          skipped_floors := (row, gauge) :: !skipped_floors;
          Printf.printf "SKIP  %-28s %-24s (row absent: not enough cores?)\n" row gauge
-       | Some v, Min min_v when v >= min_v ->
+       | Some None, _ ->
+         incr failed;
+         Printf.printf "FAIL  %-28s %-24s (gauge missing or not a number)\n" row gauge
+       | Some (Some v), Min min_v when v >= min_v ->
          Printf.printf "OK    %-28s %-24s %8.2f >= %.2f\n" row gauge v min_v
-       | Some v, Min min_v ->
+       | Some (Some v), Min min_v ->
          incr failed;
          Printf.printf "FAIL  %-28s %-24s %8.2f <  %.2f\n" row gauge v min_v
-       | Some v, Max max_v when v <= max_v ->
+       | Some (Some v), Max max_v when v <= max_v ->
          Printf.printf "OK    %-28s %-24s %8.2f <= %.2f\n" row gauge v max_v
-       | Some v, Max max_v ->
+       | Some (Some v), Max max_v ->
          incr failed;
          Printf.printf "FAIL  %-28s %-24s %8.2f >  %.2f\n" row gauge v max_v)
     floors;

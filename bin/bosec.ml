@@ -18,6 +18,7 @@
    docs/DIAGNOSTICS.md). *)
 
 module Rng = Bose_util.Rng
+module Json = Bose_util.Json
 module Cx = Bose_linalg.Cx
 module Mat = Bose_linalg.Mat
 module Dist = Bose_util.Dist
@@ -341,7 +342,7 @@ let run_check plan_file unitary_file cache_dir target_name compiled_for seed tau
       in
       let settings = { Lint.default_settings with Lint.disabled_codes = disable; werror } in
       let diags = List.rev !load_diags @ Lint.run ~settings subject in
-      if json then print_endline (Diag.to_json diags)
+      if json then print_endline (Json.to_string (Diag.to_json diags))
       else Format.printf "%a@." Diag.pp_list diags;
       had_errors := List.exists Diag.is_error diags);
   if !had_errors then exit 1
@@ -454,14 +455,14 @@ let run_analyze plan_file unitary_file seed tau coupling_kind rows cols target
       let diags = List.rev !load_diags @ Lint.run ~settings subject in
       (match (json, report) with
        | true, _ ->
-         Printf.printf {|{"report":%s,"diagnostics":%s}|}
-           (match report with
-            | Some r -> Bose_flow.Flow.report_to_json r
-            | None -> "null")
-           (Diag.to_json diags);
-         print_newline ()
+         let report =
+           Option.fold ~none:Json.Null ~some:Bose_flow.Flow.report_to_json report
+         in
+         print_endline
+           (Json.to_string
+              (Json.Obj [ ("report", report); ("diagnostics", Diag.to_json diags) ]))
        | false, Some r ->
-         print_endline (Bose_flow.Flow.report_to_json r);
+         print_endline (Json.to_string (Bose_flow.Flow.report_to_json r));
          Format.printf "%a@.%a@." Bose_flow.Flow.pp_report r Diag.pp_list diags
        | false, None -> Format.printf "%a@." Diag.pp_list diags);
       had_errors := List.exists Diag.is_error diags);

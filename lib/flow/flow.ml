@@ -3,6 +3,7 @@ module Givens = Bose_linalg.Givens
 module Coupling = Bose_hardware.Coupling
 module Noise = Bose_circuit.Noise
 module Obs = Bose_obs.Obs
+module Json = Bose_util.Json
 
 let sp_analyze = "flow.analyze"
 let c_analyses = Obs.Counter.make "flow.analyses"
@@ -387,52 +388,58 @@ let analyze ?kept ?backend:(b = null_backend) plan =
     min_transmission = b.min_transmission;
   }
 
-(* JSON emission, dependency-free like lib/serve's: the report fields
-   are ints, floats in [0,1], and int lists — no string escaping
-   needed beyond none at all. *)
-let json_float x = Printf.sprintf "%.17g" x
-
-let json_int_list l = "[" ^ String.concat "," (List.map string_of_int l) ^ "]"
-
-let json_interval { lo; hi } =
-  Printf.sprintf {|{"lo":%s,"hi":%s}|} (json_float lo) (json_float hi)
-
 let report_to_json r =
-  let buf = Buffer.create 1024 in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  add {|{"modes":%d,"rotations":%d,"kept":%d,"depth":%d|} r.modes r.rotations
-    r.kept_rotations r.layers.depth;
+  let num x = Json.Num x and of_int n = Json.Num (float_of_int n) in
+  let ints l = Json.List (List.map of_int l) in
+  let interval { lo; hi } = Json.Obj [ ("lo", num lo); ("hi", num hi) ] in
   let crit =
     Array.fold_left (fun acc s -> if s = 0 then acc + 1 else acc) 0
       (slack r.layers)
   in
-  add {|,"critical":%d,"fronts":[|} crit;
-  Array.iteri
-    (fun l front ->
-       if l > 0 then add ",";
-       add "%s" (json_int_list (Array.to_list front)))
-    r.layers.fronts;
-  add {|],"liveness":[|};
-  for v = 0 to r.modes - 1 do
-    if v > 0 then add ",";
-    add {|{"mode":%d,"first":%d,"last":%d,"touches":%d,"transmission":%s}|} v
-      r.live.first_touch.(v) r.live.last_touch.(v) r.live.touches.(v)
-      (json_float r.per_mode_transmission.(v))
-  done;
-  add {|],"dead_modes":%s|} (json_int_list r.live.dead);
-  add {|,"fidelity":%s,"transmission":%s|} (json_interval r.fidelity)
-    (json_interval r.transmission_range);
-  add {|,"infeasible":[|};
-  List.iteri
-    (fun i { rotation; pair = (m, n); distance } ->
-       if i > 0 then add ",";
-       add {|{"rotation":%d,"m":%d,"n":%d,"distance":%d}|} rotation m n distance)
-    r.infeasible_rotations;
-  add {|],"unused_sites":%s|} (json_int_list r.unused_sites);
-  add {|,"limits":{"max_depth":%s,"min_transmission":%s}}|}
-    (match r.max_depth with None -> "null" | Some d -> string_of_int d)
-    (json_float r.min_transmission);
-  Buffer.contents buf
+  Json.Obj
+    [
+      ("modes", of_int r.modes);
+      ("rotations", of_int r.rotations);
+      ("kept", of_int r.kept_rotations);
+      ("depth", of_int r.layers.depth);
+      ("critical", of_int crit);
+      ( "fronts",
+        Json.List
+          (Array.to_list (Array.map (fun f -> ints (Array.to_list f)) r.layers.fronts)) );
+      ( "liveness",
+        Json.List
+          (List.init r.modes (fun v ->
+               Json.Obj
+                 [
+                   ("mode", of_int v);
+                   ("first", of_int r.live.first_touch.(v));
+                   ("last", of_int r.live.last_touch.(v));
+                   ("touches", of_int r.live.touches.(v));
+                   ("transmission", num r.per_mode_transmission.(v));
+                 ])) );
+      ("dead_modes", ints r.live.dead);
+      ("fidelity", interval r.fidelity);
+      ("transmission", interval r.transmission_range);
+      ( "infeasible",
+        Json.List
+          (List.map
+             (fun { rotation; pair = (m, n); distance } ->
+                Json.Obj
+                  [
+                    ("rotation", of_int rotation);
+                    ("m", of_int m);
+                    ("n", of_int n);
+                    ("distance", of_int distance);
+                  ])
+             r.infeasible_rotations) );
+      ("unused_sites", ints r.unused_sites);
+      ( "limits",
+        Json.Obj
+          [
+            ("max_depth", Option.fold ~none:Json.Null ~some:of_int r.max_depth);
+            ("min_transmission", num r.min_transmission);
+          ] );
+    ]
 
 let pp_report fmt r =
   Format.fprintf fmt "@[<v>plan: %d modes, %d rotations (%d kept)@," r.modes

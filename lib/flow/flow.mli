@@ -194,8 +194,8 @@ val analyze :
     and budgets use the ideal noise model. Emits the [flow.*]
     telemetry. *)
 
-val report_to_json : report -> string
-(** Single-line JSON object: depth, fronts, per-mode liveness table,
+val report_to_json : report -> Bose_util.Json.t
+(** JSON object: depth, fronts, per-mode liveness table,
     budget intervals, infeasible pairs, limits. Stable field set —
     [bosec analyze] and the serve [analyze] op both emit it. *)
 

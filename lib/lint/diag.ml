@@ -66,41 +66,15 @@ let pp_list fmt ds =
   Format.fprintf fmt "%s@]" (summary ds)
 
 (* ------------------------------------------------------------------ *)
-(* JSON rendering. Only strings and ints appear, so the emitter is a
-   few lines; string escaping matches the Obs report writer. *)
+(* JSON rendering. *)
 
-let escape buf s =
-  String.iter
-    (function
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
+module Json = Bose_util.Json
 
-let add_string buf s =
-  Buffer.add_char buf '"';
-  escape buf s;
-  Buffer.add_char buf '"'
+let num n = Json.Num (float_of_int n)
 
-let add_field buf key value =
-  add_string buf key;
-  Buffer.add_char buf ':';
-  value ()
-
-let location_json buf loc =
+let location_json loc =
   let obj kind fields =
-    Buffer.add_char buf '{';
-    add_field buf "kind" (fun () -> add_string buf kind);
-    List.iter
-      (fun (k, v) ->
-         Buffer.add_char buf ',';
-         add_field buf k (fun () -> Buffer.add_string buf (string_of_int v)))
-      fields;
-    Buffer.add_char buf '}'
+    Json.Obj (("kind", Json.Str kind) :: List.map (fun (k, v) -> (k, num v)) fields)
   in
   match loc with
   | Whole -> obj "artifact" []
@@ -112,27 +86,21 @@ let location_json buf loc =
   | Line l -> obj "line" [ ("line", l) ]
 
 let to_json ds =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf "{\"version\":1,\"diagnostics\":[";
-  List.iteri
-    (fun i d ->
-       if i > 0 then Buffer.add_char buf ',';
-       Buffer.add_char buf '{';
-       add_field buf "code" (fun () -> add_string buf d.code);
-       Buffer.add_char buf ',';
-       add_field buf "severity" (fun () -> add_string buf (severity_name d.severity));
-       Buffer.add_char buf ',';
-       add_field buf "location" (fun () -> location_json buf d.location);
-       Buffer.add_char buf ',';
-       add_field buf "message" (fun () -> add_string buf d.message);
-       (match d.hint with
-        | None -> ()
-        | Some h ->
-          Buffer.add_char buf ',';
-          add_field buf "hint" (fun () -> add_string buf h));
-       Buffer.add_char buf '}')
-    ds;
-  Buffer.add_string buf
-    (Printf.sprintf "],\"errors\":%d,\"warnings\":%d,\"info\":%d}" (count Error ds)
-       (count Warning ds) (count Info ds));
-  Buffer.contents buf
+  let diag d =
+    Json.Obj
+      ([
+         ("code", Json.Str d.code);
+         ("severity", Json.Str (severity_name d.severity));
+         ("location", location_json d.location);
+         ("message", Json.Str d.message);
+       ]
+       @ match d.hint with None -> [] | Some h -> [ ("hint", Json.Str h) ])
+  in
+  Json.Obj
+    [
+      ("version", num 1);
+      ("diagnostics", Json.List (List.map diag ds));
+      ("errors", num (count Error ds));
+      ("warnings", num (count Warning ds));
+      ("info", num (count Info ds));
+    ]

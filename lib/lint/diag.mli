@@ -61,8 +61,7 @@ val pp : Format.formatter -> t -> unit
 val pp_list : Format.formatter -> t list -> unit
 (** Every diagnostic, one per line, followed by the {!summary} line. *)
 
-val to_json : t list -> string
+val to_json : t list -> Bose_util.Json.t
 (** [{"version": 1, "diagnostics": [{"code": ..., "severity": ...,
     "location": {"kind": ..., ...}, "message": ..., "hint": ...}, ...],
-    "errors": n, "warnings": n, "info": n}] — one line, no trailing
-    newline. *)
+    "errors": n, "warnings": n, "info": n}]. *)

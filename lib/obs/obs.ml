@@ -321,221 +321,7 @@ module Local = struct
     s.l_depth <- 0
 end
 
-(* --- Minimal JSON (exactly the subset the report schema needs) ----- *)
-
-module Json = struct
-  type t =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | Arr of t list
-    | Obj of (string * t) list
-
-  let escape buf s =
-    String.iter
-      (fun c ->
-         match c with
-         | '"' -> Buffer.add_string buf "\\\""
-         | '\\' -> Buffer.add_string buf "\\\\"
-         | '\n' -> Buffer.add_string buf "\\n"
-         | '\r' -> Buffer.add_string buf "\\r"
-         | '\t' -> Buffer.add_string buf "\\t"
-         | c when Char.code c < 0x20 ->
-           Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-         | c -> Buffer.add_char buf c)
-      s
-
-  (* Shortest decimal that parses back to the same float, so the
-     to_json/of_json round-trip is exact. *)
-  let float_repr x =
-    if Float.is_integer x && Float.abs x < 1e15 then
-      Printf.sprintf "%.0f" x
-    else begin
-      let s15 = Printf.sprintf "%.15g" x in
-      if float_of_string s15 = x then s15 else Printf.sprintf "%.17g" x
-    end
-
-  let rec emit buf = function
-    | Null -> Buffer.add_string buf "null"
-    | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-    | Num x ->
-      if Float.is_nan x || Float.abs x = infinity then
-        Buffer.add_string buf "null"
-      else Buffer.add_string buf (float_repr x)
-    | Str s ->
-      Buffer.add_char buf '"';
-      escape buf s;
-      Buffer.add_char buf '"'
-    | Arr xs ->
-      Buffer.add_char buf '[';
-      List.iteri
-        (fun i x ->
-           if i > 0 then Buffer.add_char buf ',';
-           emit buf x)
-        xs;
-      Buffer.add_char buf ']'
-    | Obj fields ->
-      Buffer.add_char buf '{';
-      List.iteri
-        (fun i (k, v) ->
-           if i > 0 then Buffer.add_char buf ',';
-           Buffer.add_char buf '"';
-           escape buf k;
-           Buffer.add_string buf "\":";
-           emit buf v)
-        fields;
-      Buffer.add_char buf '}'
-
-  let to_string t =
-    let buf = Buffer.create 1024 in
-    emit buf t;
-    Buffer.contents buf
-
-  exception Parse_error of string
-
-  let parse (s : string) : t =
-    let n = String.length s in
-    let pos = ref 0 in
-    let fail msg = raise (Parse_error (Printf.sprintf "%s at offset %d" msg !pos)) in
-    let peek () = if !pos < n then Some s.[!pos] else None in
-    let advance () = incr pos in
-    let rec skip_ws () =
-      match peek () with
-      | Some (' ' | '\t' | '\n' | '\r') -> advance (); skip_ws ()
-      | _ -> ()
-    in
-    let expect c =
-      match peek () with
-      | Some c' when c' = c -> advance ()
-      | _ -> fail (Printf.sprintf "expected %C" c)
-    in
-    let literal word value =
-      let l = String.length word in
-      if !pos + l <= n && String.sub s !pos l = word then begin
-        pos := !pos + l;
-        value
-      end
-      else fail (Printf.sprintf "expected %s" word)
-    in
-    let parse_string () =
-      expect '"';
-      let buf = Buffer.create 16 in
-      let rec go () =
-        if !pos >= n then fail "unterminated string";
-        let c = s.[!pos] in
-        advance ();
-        if c = '"' then Buffer.contents buf
-        else if c = '\\' then begin
-          if !pos >= n then fail "unterminated escape";
-          let e = s.[!pos] in
-          advance ();
-          (match e with
-           | '"' -> Buffer.add_char buf '"'
-           | '\\' -> Buffer.add_char buf '\\'
-           | '/' -> Buffer.add_char buf '/'
-           | 'n' -> Buffer.add_char buf '\n'
-           | 'r' -> Buffer.add_char buf '\r'
-           | 't' -> Buffer.add_char buf '\t'
-           | 'b' -> Buffer.add_char buf '\b'
-           | 'f' -> Buffer.add_char buf '\012'
-           | 'u' ->
-             if !pos + 4 > n then fail "truncated \\u escape";
-             let hex = String.sub s !pos 4 in
-             pos := !pos + 4;
-             let code =
-               try int_of_string ("0x" ^ hex)
-               with Failure _ -> fail "bad \\u escape"
-             in
-             (* Report names are ASCII; decode BMP codepoints as UTF-8. *)
-             if code < 0x80 then Buffer.add_char buf (Char.chr code)
-             else if code < 0x800 then begin
-               Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-               Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-             end
-             else begin
-               Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-               Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-               Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-             end
-           | _ -> fail "bad escape");
-          go ()
-        end
-        else begin
-          Buffer.add_char buf c;
-          go ()
-        end
-      in
-      go ()
-    in
-    let parse_number () =
-      let start = !pos in
-      let num_char c =
-        match c with
-        | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-        | _ -> false
-      in
-      while (match peek () with Some c -> num_char c | None -> false) do
-        advance ()
-      done;
-      if !pos = start then fail "expected number";
-      match float_of_string_opt (String.sub s start (!pos - start)) with
-      | Some x -> x
-      | None -> fail "malformed number"
-    in
-    let rec parse_value () =
-      skip_ws ();
-      match peek () with
-      | None -> fail "unexpected end of input"
-      | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin advance (); Obj [] end
-        else begin
-          let rec fields acc =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' -> advance (); fields ((k, v) :: acc)
-            | Some '}' -> advance (); Obj (List.rev ((k, v) :: acc))
-            | _ -> fail "expected ',' or '}'"
-          in
-          fields []
-        end
-      | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin advance (); Arr [] end
-        else begin
-          let rec items acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' -> advance (); items (v :: acc)
-            | Some ']' -> advance (); Arr (List.rev (v :: acc))
-            | _ -> fail "expected ',' or ']'"
-          in
-          items []
-        end
-      | Some '"' -> Str (parse_string ())
-      | Some 't' -> literal "true" (Bool true)
-      | Some 'f' -> literal "false" (Bool false)
-      | Some 'n' -> literal "null" Null
-      | Some _ -> Num (parse_number ())
-    in
-    let v = parse_value () in
-    skip_ws ();
-    if !pos <> n then fail "trailing garbage";
-    v
-
-  let member name = function
-    | Obj fields -> List.assoc_opt name fields
-    | _ -> None
-end
+module Json = Bose_util.Json
 
 module Report = struct
   type span = {
@@ -650,134 +436,101 @@ module Report = struct
     if is_empty t then fprintf fmt "(no telemetry recorded)@,";
     fprintf fmt "@]"
 
-  let json_of t =
+  let to_json t =
     let open Json in
+    let of_int n = Num (float_of_int n) in
+    let named value (n, v) = Obj [ ("name", Str n); ("value", value v) ] in
     Obj
       [
         ("version", Num 1.);
         ( "spans",
-          Arr
+          List
             (List.map
                (fun (s : span) ->
                   Obj
                     [
                       ("name", Str s.name);
-                      ("count", Num (float_of_int s.count));
+                      ("count", of_int s.count);
                       ("total_s", Num s.total_s);
                       ("max_s", Num s.max_s);
-                      ("depth", Num (float_of_int s.depth));
+                      ("depth", of_int s.depth);
                     ])
                t.spans) );
-        ( "counters",
-          Arr
-            (List.map
-               (fun (n, v) ->
-                  Obj [ ("name", Str n); ("value", Num (float_of_int v)) ])
-               t.counters) );
-        ( "gauges",
-          Arr
-            (List.map
-               (fun (n, v) -> Obj [ ("name", Str n); ("value", Num v) ])
-               t.gauges) );
+        ("counters", List (List.map (named of_int) t.counters));
+        ("gauges", List (List.map (named (fun x -> Num x)) t.gauges));
         ( "histograms",
-          Arr
+          List
             (List.map
                (fun h ->
                   Obj
                     [
                       ("name", Str h.name);
-                      ( "bounds",
-                        Arr (Array.to_list (Array.map (fun b -> Num b) h.bounds)) );
-                      ( "counts",
-                        Arr
-                          (Array.to_list
-                             (Array.map (fun c -> Num (float_of_int c)) h.counts)) );
+                      ("bounds", List (List.map (fun b -> Num b) (Array.to_list h.bounds)));
+                      ("counts", List (Array.to_list (Array.map of_int h.counts)));
                       ("sum", Num h.sum);
                     ])
                t.histograms) );
       ]
 
-  let to_json t = Json.to_string (json_of t)
-
-  let of_json text =
+  let of_json root =
     let open Json in
-    let fail msg = Error ("Obs.Report.of_json: " ^ msg) in
-    let ( let* ) r f = Result.bind r f in
-    let str = function Str s -> Ok s | _ -> fail "expected string" in
-    let num = function Num x -> Ok x | _ -> fail "expected number" in
-    let int v =
-      let* x = num v in
-      if Float.is_integer x then Ok (int_of_float x) else fail "expected integer"
-    in
+    let exception Bad of string in
+    let fail msg = raise (Bad msg) in
     let field name v =
-      match member name v with
-      | Some x -> Ok x
+      match mem name v with
+      | Some x -> x
       | None -> fail (Printf.sprintf "missing field %S" name)
     in
-    let arr f v =
-      match v with
-      | Arr xs ->
-        List.fold_left
-          (fun acc x ->
-             let* acc = acc in
-             let* x = f x in
-             Ok (x :: acc))
-          (Ok []) xs
-        |> Result.map List.rev
-      | _ -> fail "expected array"
+    let str = function Str s -> s | _ -> fail "expected string" in
+    (* Non-finite floats print as null (Json.to_string); read them back
+       as nan. Int fields have no such spelling and reject null. *)
+    let num = function Num x -> x | Null -> Float.nan | _ -> fail "expected number" in
+    let int = function
+      | Num x when Float.is_integer x -> int_of_float x
+      | _ -> fail "expected integer"
     in
-    match Json.parse text with
-    | exception Json.Parse_error msg -> fail msg
-    | root ->
-      let* version = Result.bind (field "version" root) int in
-      if version <> 1 then fail (Printf.sprintf "unsupported version %d" version)
-      else
-        let* spans =
-          Result.bind (field "spans" root)
-            (arr (fun v ->
-                 let* name = Result.bind (field "name" v) str in
-                 let* count = Result.bind (field "count" v) int in
-                 let* total_s = Result.bind (field "total_s" v) num in
-                 let* max_s = Result.bind (field "max_s" v) num in
-                 let* depth = Result.bind (field "depth" v) int in
-                 Ok { name; count; total_s; max_s; depth }))
-        in
-        let* counters =
-          Result.bind (field "counters" root)
-            (arr (fun v ->
-                 let* name = Result.bind (field "name" v) str in
-                 let* value = Result.bind (field "value" v) int in
-                 Ok (name, value)))
-        in
-        let* gauges =
-          Result.bind (field "gauges" root)
-            (arr (fun v ->
-                 let* name = Result.bind (field "name" v) str in
-                 let* value = Result.bind (field "value" v) num in
-                 Ok (name, value)))
-        in
-        let* histograms =
-          Result.bind (field "histograms" root)
-            (arr (fun v ->
-                 let* name = Result.bind (field "name" v) str in
-                 let* bounds = Result.bind (field "bounds" v) (arr num) in
-                 let* counts = Result.bind (field "counts" v) (arr int) in
-                 let* sum = Result.bind (field "sum" v) num in
-                 if List.length counts <> List.length bounds + 1 then
-                   fail "histogram counts/bounds length mismatch"
-                 else
-                   Ok
-                     { name; bounds = Array.of_list bounds;
-                       counts = Array.of_list counts; sum }))
-        in
-        Ok { spans; counters; gauges; histograms }
+    let arr f = function List xs -> List.map f xs | _ -> fail "expected array" in
+    let named value v =
+      let name = str (field "name" v) in
+      (name, value (field "value" v))
+    in
+    try
+      let version = int (field "version" root) in
+      if version <> 1 then fail (Printf.sprintf "unsupported version %d" version);
+      let spans =
+        arr
+          (fun v ->
+             let name = str (field "name" v) in
+             let count = int (field "count" v) in
+             let total_s = num (field "total_s" v) in
+             let max_s = num (field "max_s" v) in
+             let depth = int (field "depth" v) in
+             { name; count; total_s; max_s; depth })
+          (field "spans" root)
+      in
+      let counters = arr (named int) (field "counters" root) in
+      let gauges = arr (named num) (field "gauges" root) in
+      let histograms =
+        arr
+          (fun v ->
+             let name = str (field "name" v) in
+             let bounds = Array.of_list (arr num (field "bounds" v)) in
+             let counts = Array.of_list (arr int (field "counts" v)) in
+             let sum = num (field "sum" v) in
+             if Array.length counts <> Array.length bounds + 1 then
+               fail "histogram counts/bounds length mismatch";
+             { name; bounds; counts; sum })
+          (field "histograms" root)
+      in
+      Ok { spans; counters; gauges; histograms }
+    with Bad msg -> Error ("Obs.Report.of_json: " ^ msg)
 
   let write_file path t =
     let oc = open_out path in
     Fun.protect
       ~finally:(fun () -> close_out oc)
       (fun () ->
-         output_string oc (to_json t);
+         output_string oc (Json.to_string (to_json t));
          output_char oc '\n')
 end
 

@@ -9,11 +9,12 @@
       bump is a single branch and {!Span.with_} is a tail call to its
       thunk. Hot loops ([Hafnian], [Permanent]) are therefore safe to
       instrument unconditionally.
-    - {b No dependencies.} Only the OCaml standard library, so every
-      layer of the repo — including [bose_linalg] consumers — may link
-      against it. The default clock is [Sys.time] (process CPU time,
-      monotone non-decreasing); binaries that link [unix] should
-      install a wall clock with {!set_clock} for truthful span times.
+    - {b One dependency.} Only [bose_util] (for its JSON codec) and
+      the OCaml standard library, so every layer of the repo —
+      including [bose_linalg] consumers — may link against it. The
+      default clock is [Sys.time] (process CPU time, monotone
+      non-decreasing); binaries that link [unix] should install a wall
+      clock with {!set_clock} for truthful span times.
     - {b Deterministic program output.} Telemetry never draws
       randomness and never alters control flow: a run with telemetry
       enabled produces byte-identical circuits to a disabled run
@@ -192,16 +193,18 @@ module Report : sig
   val pp : Format.formatter -> t -> unit
   (** Human-readable table (spans, then counters, gauges, histograms). *)
 
-  val to_json : t -> string
+  val to_json : t -> Bose_util.Json.t
   (** The schema documented in docs/METRICS.md:
       [{"version": 1, "spans": [...], "counters": [...],
         "gauges": [...], "histograms": [...]}]. *)
 
-  val of_json : string -> (t, string) result
+  val of_json : Bose_util.Json.t -> (t, string) result
   (** Inverse of {!to_json} (accepts any field order); [Error] carries
-      a parse/validation message. Floats round-trip exactly: they are
-      emitted as shortest-exact decimal. *)
+      a validation message. Finite floats round-trip exactly through
+      [Json.to_string]/[Json.parse]; non-finite ones render as [null]
+      and read back as [nan]. *)
 
   val write_file : string -> t -> unit
-  (** Write {!to_json} (plus trailing newline) to a file. *)
+  (** Write {!to_json} as one line of JSON text (plus trailing
+      newline) to a file. *)
 end

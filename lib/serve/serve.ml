@@ -1,4 +1,5 @@
 module Rng = Bose_util.Rng
+module Json = Bose_util.Json
 module Cx = Bose_linalg.Cx
 module Mat = Bose_linalg.Mat
 module Unitary = Bose_linalg.Unitary
@@ -529,12 +530,11 @@ let do_analyze t (req : analyze_req) =
     }
   in
   let diags = Lint.run subject in
-  let embed s = match Json.parse s with Ok v -> v | Error _ -> Json.Null in
   Json.Obj
     ([
        ("modes", Json.Num (float_of_int plan.Plan.modes));
-       ("report", embed (Flow.report_to_json report));
-       ("diagnostics", embed (Diag.to_json diags));
+       ("report", Flow.report_to_json report);
+       ("diagnostics", Diag.to_json diags);
        ("errors", Json.Num (float_of_int (Lint.errors diags)));
      ]
      @

@@ -3,6 +3,7 @@
    one span per compiler pass and the headline counters to be nonzero.
    Exits nonzero with a diagnostic on any violation. *)
 
+module Json = Bose_util.Json
 module Report = Bose_obs.Obs.Report
 
 let fail fmt = Printf.ksprintf (fun msg -> prerr_endline ("check_metrics: " ^ msg); exit 1) fmt
@@ -17,7 +18,7 @@ let () =
     close_in ic;
     s
   in
-  match Report.of_json text with
+  match Result.bind (Json.parse text) Report.of_json with
   | Error msg -> fail "%s is not a valid metrics report: %s" path msg
   | Ok report ->
     List.iter

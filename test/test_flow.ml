@@ -168,12 +168,9 @@ let test_analyze_clean_compile () =
   Alcotest.(check (list int)) "no unused sites" [] report.Flow.unused_sites;
   let json = Flow.report_to_json report in
   List.iter
-    (fun needle ->
-       Alcotest.(check bool) ("json has " ^ needle) true
-         (let nl = String.length needle and hl = String.length json in
-          let rec go i = i + nl <= hl && (String.sub json i nl = needle || go (i + 1)) in
-          go 0))
-    [ "\"depth\""; "\"fronts\""; "\"liveness\""; "\"fidelity\""; "\"dead_modes\"" ]
+    (fun key ->
+       Alcotest.(check bool) ("json has " ^ key) true (Bose_util.Json.mem key json <> None))
+    [ "depth"; "fronts"; "liveness"; "fidelity"; "dead_modes" ]
 
 let test_analyze_policy_mask () =
   let n = 6 in

@@ -324,7 +324,7 @@ let test_json_shape () =
       Diag.warning ~code:"BH0407" "dead \"rotation\"";
     ]
   in
-  let json = Diag.to_json ds in
+  let json = Bose_util.Json.to_string (Diag.to_json ds) in
   let contains needle =
     let nl = String.length needle and hl = String.length json in
     let rec go i = i + nl <= hl && (String.sub json i nl = needle || go (i + 1)) in

@@ -5,6 +5,7 @@
 
 module Obs = Bose_obs.Obs
 module Rng = Bose_util.Rng
+module Json = Bose_util.Json
 module Unitary = Bose_linalg.Unitary
 module Lattice = Bose_hardware.Lattice
 module Circuit = Bose_circuit.Circuit
@@ -129,26 +130,43 @@ let test_span_disabled_is_identity () =
 
 (* ----------------------------------------------------- JSON round-trip *)
 
+(* Reports travel as JSON text: render, parse, decode. *)
+let read text = Result.bind (Json.parse text) Obs.Report.of_json
+let reread r = read (Json.to_string (Obs.Report.to_json r))
+
 let test_json_roundtrip () =
   with_clean_obs (fun () ->
       let c = Obs.Counter.make "test.rt_counter" in
       Obs.Counter.incr c ~by:12345;
       let g = Obs.Gauge.make "test.rt_gauge" in
       Obs.Gauge.set g 0.123456789012345678;
+      let non_finite = [ "test.rt_nan"; "test.rt_inf" ] in
+      Obs.Gauge.set (Obs.Gauge.make "test.rt_nan") Float.nan;
+      Obs.Gauge.set (Obs.Gauge.make "test.rt_inf") Float.infinity;
       let h = Obs.Histo.make "test.rt_histo" ~bounds:[| 0.5; 1.5 |] in
       Obs.Histo.observe h 0.25;
       Obs.Histo.observe h 10.;
       Obs.Span.with_ "test.rt_span" (fun () ->
           Obs.Span.with_ "test.rt_span.child" (fun () -> ()));
       let r = Obs.Report.capture () in
-      match Obs.Report.of_json (Obs.Report.to_json r) with
+      match reread r with
       | Error msg -> Alcotest.fail ("round-trip failed: " ^ msg)
       | Ok r' ->
-        Alcotest.(check bool) "round-trip is exact (incl. floats)" true (r = r'))
+        (* Non-finite values render as null and read back as nan. *)
+        List.iter
+          (fun name ->
+             Alcotest.(check bool) (name ^ " reads back as nan") true
+               (Option.fold ~none:false ~some:Float.is_nan (Obs.Report.gauge r' name)))
+          non_finite;
+        let finite (t : Obs.Report.t) =
+          let gauges = List.filter (fun (n, _) -> not (List.mem n non_finite)) t.gauges in
+          { t with gauges }
+        in
+        Alcotest.(check bool) "round-trip is exact (incl. finite floats)" true
+          (finite r = finite r'))
 
 let test_json_rejects_garbage () =
-  let bad input =
-    match Obs.Report.of_json input with Error _ -> true | Ok _ -> false
+  let bad input = match read input with Error _ -> true | Ok _ -> false
   in
   Alcotest.(check bool) "empty" true (bad "");
   Alcotest.(check bool) "not json" true (bad "hello");
@@ -163,7 +181,7 @@ let test_json_escaping () =
       let c = Obs.Counter.make "test.\"quoted\\name\"\n" in
       Obs.Counter.incr c;
       let r = Obs.Report.capture () in
-      match Obs.Report.of_json (Obs.Report.to_json r) with
+      match reread r with
       | Error msg -> Alcotest.fail ("escaped round-trip failed: " ^ msg)
       | Ok r' ->
         Alcotest.(check (option int)) "escaped name survives"

@@ -13,7 +13,7 @@ module Lattice = Bose_hardware.Lattice
 module Diskcache = Bose_store.Diskcache
 module Lint = Bose_lint.Lint
 module Diag = Bose_lint.Diag
-module Json = Bose_serve.Json
+module Json = Bose_util.Json
 module Serve = Bose_serve.Serve
 
 (* Fresh temp directory per test; contents removed best-effort. *)
@@ -294,6 +294,12 @@ let test_protocol_basics () =
   (* Errors are structured replies, never exceptions. *)
   Alcotest.(check (option string)) "parse error" (Some "parse")
     (get_str [ "error"; "code" ] (Serve.handle_line t "not json"));
+  (* Well-formed, but nested past the parser's depth bound: a parse
+     error, never a stack overflow. *)
+  let deep_id = String.make 1000 '[' ^ String.make 1000 ']' in
+  Alcotest.(check (option string)) "nesting limit" (Some "parse")
+    (get_str [ "error"; "code" ]
+       (Serve.handle_line t (Printf.sprintf {|{"op":"ping","id":%s}|} deep_id)));
   Alcotest.(check (option string)) "unknown op" (Some "bad-request")
     (get_str [ "error"; "code" ] (Serve.handle_line t {|{"id":2,"op":"frobnicate"}|}));
   Alcotest.(check (option string)) "missing op" (Some "bad-request")

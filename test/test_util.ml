@@ -5,6 +5,8 @@ module Stats = Bose_util.Stats
 module Dist = Bose_util.Dist
 module Combin = Bose_util.Combin
 module Broaden = Bose_util.Broaden
+module Json = Bose_util.Json
+module Obs = Bose_obs.Obs
 
 let check_float = Alcotest.(check (float 1e-9))
 let check_close msg tol a b = Alcotest.(check (float tol)) msg a b
@@ -287,6 +289,111 @@ let test_broaden_peak_location () =
   Array.iteri (fun i v -> if v > values.(!best) then best := i) values;
   check_close "peak at stick" 0.11 4. grid.(!best)
 
+(* ----------------------------------------------------------------- Json *)
+
+let nested depth = String.make depth '[' ^ String.make depth ']'
+
+let test_json_depth_limit () =
+  Alcotest.(check bool) "512 levels parse" true (Result.is_ok (Json.parse (nested 512)));
+  Alcotest.(check (result reject string)) "513 levels do not"
+    (Error "nesting deeper than 512 levels (at byte 512)")
+    (Result.map ignore (Json.parse (nested 513)))
+
+(* Finite floats from every bit pattern, plus the spellings the printer
+   special-cases: -0., and integers on both sides of 2^53. *)
+let gen_number =
+  let open QCheck.Gen in
+  let two53 = 9007199254740992. in
+  let finite bits =
+    let x = Int64.float_of_bits bits in
+    if Float.is_finite x then x else 1.5
+  in
+  oneof
+    [
+      map finite int64;
+      map float_of_int (int_range (-1000) 1000);
+      return (-0.);
+      map (fun d -> two53 +. float_of_int d) (int_range (-3) 3);
+      map (fun d -> -.two53 -. float_of_int d) (int_range (-3) 3);
+    ]
+
+(* Strings over all 256 byte values, with a bias toward the bytes the
+   printer escapes. *)
+let gen_bytes =
+  let open QCheck.Gen in
+  let escaped = oneofl [ '"'; '\\'; '\n'; '\b'; '\012'; '\000'; '\031' ] in
+  string_size ~gen:(oneof [ char; escaped ]) (int_bound 10)
+
+let gen_json =
+  let open QCheck.Gen in
+  let scalar =
+    oneof
+      [
+        return Json.Null;
+        map (fun b -> Json.Bool b) bool;
+        map (fun x -> Json.Num x) gen_number;
+        map (fun s -> Json.Str s) gen_bytes;
+      ]
+  in
+  sized_size (int_bound 8)
+  @@ fix (fun self depth ->
+      if depth = 0 then scalar
+      else
+        frequency
+          [
+            (2, scalar);
+            (1, map (fun l -> Json.List l) (list_size (int_bound 4) (self (depth - 1))));
+            ( 1,
+              map (fun kvs -> Json.Obj kvs)
+                (list_size (int_bound 4) (pair gen_bytes (self (depth - 1)))) );
+          ])
+
+(* Structural equality, except that floats compare by bits so -0.
+   must come back as -0. *)
+let rec json_equal a b =
+  match (a, b) with
+  | Json.Num x, Json.Num y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Json.List xs, Json.List ys -> List.equal json_equal xs ys
+  | Json.Obj xs, Json.Obj ys ->
+    List.equal (fun (k, x) (l, y) -> String.equal k l && json_equal x y) xs ys
+  | _ -> a = b
+
+(* Byte-level damage: bit flip, truncation, insertion, deletion. *)
+let gen_mutations =
+  let open QCheck.Gen in
+  let byte = oneof [ char; oneofl [ '['; ']'; '{'; '}'; '"'; ','; ':'; '\\' ] ] in
+  list_size (int_range 1 4) (triple (int_bound 3) nat byte)
+
+let mutate s muts =
+  List.fold_left
+    (fun s (kind, pos, c) ->
+       let n = String.length s in
+       let i = if n = 0 then 0 else pos mod n in
+       match kind with
+       | 0 when n > 0 ->
+         let bit = 1 lsl (Char.code c land 7) in
+         String.mapi (fun j b -> if j = i then Char.chr (Char.code b lxor bit) else b) s
+       | 1 -> String.sub s 0 i
+       | 2 -> String.sub s 0 i ^ String.make 1 c ^ String.sub s i (n - i)
+       | 3 when n > 0 -> String.sub s 0 i ^ String.sub s (i + 1) (n - i - 1)
+       | _ -> s)
+    s muts
+
+let report_text =
+  let open Obs.Report in
+  let span = { name = "compile"; count = 3; total_s = 0.25; max_s = 0.125; depth = 0 } in
+  let histo =
+    { name = "decomp.angle"; bounds = [| 0.1; 1. |]; counts = [| 1; 2; 3 |]; sum = 4.5 }
+  in
+  Json.to_string
+    (to_json
+       {
+         spans = [ span ];
+         counters = [ ("decomp.eliminations", 120); ("serve.requests", 0) ];
+         gauges = [ ("bench.serve_rps", 5400.5); ("bench.target_fidelity", Float.nan) ];
+         histograms = [ histo ];
+       })
+
 (* ------------------------------------------------------------ properties *)
 
 let qcheck_tests =
@@ -324,6 +431,22 @@ let qcheck_tests =
          List.length picked = m
          && List.length (List.sort_uniq compare picked) = m
          && List.for_all (fun i -> i >= 0 && i < n) picked);
+    Test.make ~name:"json parse inverts to_string" ~count:300
+      (make ~print:Json.to_string gen_json)
+      (fun v ->
+         match Json.parse (Json.to_string v) with
+         | Ok v' -> json_equal v v'
+         | Error _ -> false);
+    Test.make ~name:"json parse survives mutated input" ~count:300
+      (make ~print:(fun (v, m) -> String.escaped (mutate (Json.to_string v) m))
+         Gen.(pair gen_json gen_mutations))
+      (fun (v, m) ->
+         match Json.parse (mutate (Json.to_string v) m) with Ok _ | Error _ -> true);
+    Test.make ~name:"report decoder survives mutated input" ~count:300
+      (make ~print:(fun m -> String.escaped (mutate report_text m)) gen_mutations)
+      (fun m ->
+         match Result.bind (Json.parse (mutate report_text m)) Obs.Report.of_json with
+         | Ok _ | Error _ -> true);
   ]
 
 let () =
@@ -379,5 +502,6 @@ let () =
           Alcotest.test_case "normalization" `Quick test_broaden_normalization;
           Alcotest.test_case "peak location" `Quick test_broaden_peak_location;
         ] );
+      ("json", [ Alcotest.test_case "depth limit" `Quick test_json_depth_limit ]);
       ("properties", List.map (fun t -> QCheck_alcotest.to_alcotest t) qcheck_tests);
     ]
