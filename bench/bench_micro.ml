@@ -27,6 +27,7 @@ let g_warm_speedup = Obs.Gauge.make "bench.warm_speedup"
 let g_wall_s = Obs.Gauge.make "bench.wall_s"
 let g_par_speedup = Obs.Gauge.make "bench.parallel_speedup"
 let g_serve_rps = Obs.Gauge.make "bench.serve_rps"
+let g_serve_line_ms = Obs.Gauge.make "bench.serve_line_ms"
 let g_text_load_us = Obs.Gauge.make "bench.text_load_us"
 let g_bin_load_us = Obs.Gauge.make "bench.binary_load_us"
 let g_bin_speedup = Obs.Gauge.make "bench.binary_load_speedup"
@@ -183,6 +184,61 @@ let serve_sustained_row () =
   List.iter
     (fun d -> try Sys.rmdir d with Sys_error _ -> ())
     [ Filename.concat dir "objects"; Filename.concat dir "quarantine"; dir ]
+
+(* Socket framing of one long line: a client sends an ~8 MB ping,
+   padded with JSON whitespace, to [Serve.serve_socket] running in its
+   own domain, and times it until the pong. Framing that scans only the
+   bytes just read takes tens of ms here; rescanning the whole pending
+   line on every 64 KB read takes seconds. The ceiling in
+   bench_floors.json binds the wall time. *)
+let serve_socket_line_row () =
+  Benchlib.Telemetry.row ~experiment:"micro" ~row:"serve-socket-line" @@ fun () ->
+  let path =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "bosec-line-bench.%d.sock" (Unix.getpid ()))
+  in
+  let server =
+    Domain.spawn (fun () -> Bose_serve.Serve.serve_socket (Bose_serve.Serve.create ()) ~path)
+  in
+  let rec connect tries =
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    match Unix.connect fd (Unix.ADDR_UNIX path) with
+    | () -> fd
+    | exception Unix.Unix_error _ when tries > 0 ->
+      Unix.close fd;
+      Unix.sleepf 0.01;
+      connect (tries - 1)
+  in
+  let fd = connect 500 in
+  let send line =
+    let b = Bytes.of_string (line ^ "\n") in
+    let rec go off = if off < Bytes.length b then go (off + Unix.write fd b off (Bytes.length b - off)) in
+    go 0
+  in
+  let recv () =
+    let buf = Buffer.create 256 and one = Bytes.create 1 in
+    let rec go () =
+      if Unix.read fd one 0 1 = 0 then failwith "serve-socket-line: connection closed";
+      if Bytes.get one 0 = '\n' then Buffer.contents buf
+      else begin
+        Buffer.add_char buf (Bytes.get one 0);
+        go ()
+      end
+    in
+    go ()
+  in
+  let line = "{" ^ String.make (8 * 1024 * 1024) ' ' ^ {|"id":1,"op":"ping"}|} in
+  let t0 = Unix.gettimeofday () in
+  send line;
+  let reply = recv () in
+  let ms = 1e3 *. (Unix.gettimeofday () -. t0) in
+  assert (reply = {|{"id":1,"ok":true,"result":{"pong":true}}|});
+  send {|{"op":"shutdown"}|};
+  ignore (recv ());
+  Unix.close fd;
+  Domain.join server;
+  Obs.Gauge.set g_serve_line_ms ms;
+  Printf.printf "serve-socket-line (%d MB line)      %9.1f ms\n" (String.length line lsr 20) ms
 
 (* Artifact load latency, text vs binary: parse the same plan + unitary
    pair from both encodings. The binary path replaces hex-float
@@ -506,6 +562,7 @@ let run () =
   cache_recompile_row ~n:32 ~rows:6 ~cols:6;
   List.iter (target_compile_row ~n:32) (Bose_hardware.Target.all ());
   serve_sustained_row ();
+  serve_socket_line_row ();
   artifact_load_row ~n:32;
   rot_throughput_row ~n:128;
   rot_throughput_row ~n:256;

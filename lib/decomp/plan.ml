@@ -2,6 +2,7 @@ module Cx = Bose_linalg.Cx
 module Mat = Bose_linalg.Mat
 module Givens = Bose_linalg.Givens
 module Fnv = Bose_util.Fnv
+module Text = Bose_util.Artifact_text
 module Gate = Bose_circuit.Gate
 module Circuit = Bose_circuit.Circuit
 module Obs = Bose_obs.Obs
@@ -115,54 +116,87 @@ let to_circuit ?(style = Tunable) ?kept ?(prelude = []) t =
    the same four numbers replay consumes — and floats are printed with
    %h (hex floats) so the roundtrip is bit-exact. *)
 let to_string t =
-  let buf = Buffer.create (64 + (Array.length t.elements * 64)) in
-  Buffer.add_string buf (Printf.sprintf "plan %d %d\n" t.modes (Array.length t.elements));
+  let count = Array.length t.elements in
+  (* Row and qumode indices are below [modes]. *)
+  let int_bytes = 1 + String.length (string_of_int t.modes) in
+  let buf =
+    Buffer.create
+      (64
+       + (count * (2 + (3 * int_bytes) + (4 * Text.max_float_bytes)))
+       + (t.modes * (2 + (2 * Text.max_float_bytes))))
+  in
+  Buffer.add_string buf "plan";
+  Text.add_int buf t.modes;
+  Text.add_int buf count;
+  Buffer.add_char buf '\n';
   Array.iter
     (fun { rotation = { Givens.m; n; c; s; ere; eim }; row } ->
-       Buffer.add_string buf (Printf.sprintf "r %d %d %d %h %h %h %h\n" row m n c s ere eim))
+       Buffer.add_char buf 'r';
+       Text.add_int buf row;
+       Text.add_int buf m;
+       Text.add_int buf n;
+       Text.add_float buf c;
+       Text.add_float buf s;
+       Text.add_float buf ere;
+       Text.add_float buf eim;
+       Buffer.add_char buf '\n')
     t.elements;
   Array.iter
-    (fun (lam : Cx.t) -> Buffer.add_string buf (Printf.sprintf "l %h %h\n" lam.re lam.im))
+    (fun (lam : Cx.t) ->
+       Buffer.add_char buf 'l';
+       Text.add_float buf lam.re;
+       Text.add_float buf lam.im;
+       Buffer.add_char buf '\n')
     t.lambda;
   Buffer.contents buf
 
 let save oc t = output_string oc (to_string t)
 
+(* The shortest rotation and lambda lines, "r 0 0 0 a b c d\n" and
+   "l a b\n": header counts that cannot fit in the rest of the input
+   are refused before anything is allocated for them. *)
+let min_rotation_bytes = 16
+let min_lambda_bytes = 6
+
 (* The parse never raises on malformed input: every line failure is
    surfaced as [Error (message, 1-based line)] so bosec/lint can turn
    it into a BH0801 diagnostic rather than dying on an exception. *)
-let parse_lines line =
-  let lineno = ref 0 in
-  let exception Bad of string * int in
-  let fail msg = raise (Bad (msg, !lineno)) in
-  let next () =
-    incr lineno;
-    match line () with Some l -> l | None -> fail "truncated input"
-  in
+let of_text s =
+  let r = Text.reader s in
   try
-    let modes, count =
-      try Scanf.sscanf (next ()) "plan %d %d" (fun a b -> (a, b))
-      with Scanf.Scan_failure _ | Failure _ | End_of_file -> fail "bad header"
-    in
-    if modes <= 0 || count < 0 then fail "bad header values";
+    Text.line r "bad header";
+    Text.tag r "plan";
+    let modes = Text.int r in
+    let count = Text.int r in
+    Text.eol r;
+    if modes <= 0 || count < 0 then Text.fail r "bad header values";
+    Text.reserve r ~lines:count ~min_bytes:min_rotation_bytes;
+    Text.reserve r ~lines:modes ~min_bytes:min_lambda_bytes;
     let elements =
       Array.init count (fun _ ->
-          try
-            Scanf.sscanf (next ()) "r %d %d %d %h %h %h %h"
-              (fun row m n c s ere eim ->
-                 { rotation = { Givens.m; n; c; s; ere; eim }; row })
-          with Scanf.Scan_failure _ | Failure _ | End_of_file -> fail "bad rotation line")
+          Text.line r "bad rotation line";
+          Text.tag r "r";
+          let row = Text.int r in
+          let m = Text.int r in
+          let n = Text.int r in
+          let c = Text.float r in
+          let s = Text.float r in
+          let ere = Text.float r in
+          let eim = Text.float r in
+          Text.eol r;
+          { rotation = { Givens.m; n; c; s; ere; eim }; row })
     in
     let lambda =
       Array.init modes (fun _ ->
-          try Scanf.sscanf (next ()) "l %h %h" Cx.make
-          with Scanf.Scan_failure _ | Failure _ | End_of_file -> fail "bad lambda line")
+          Text.line r "bad lambda line";
+          Text.tag r "l";
+          let re = Text.float r in
+          let im = Text.float r in
+          Text.eol r;
+          Cx.make re im)
     in
     Ok { modes; elements; lambda }
-  with Bad (msg, l) -> Error (msg, l)
-
-let load_result ic =
-  parse_lines (fun () -> try Some (input_line ic) with End_of_file -> None)
+  with Text.Malformed (msg, l) -> Error (msg, l)
 
 (* Binary artifact format v2 (docs/SERVING.md), the plan-side sibling
    of Unitary's "BHBU" layout. Fixed little-endian fields, no parsing:
@@ -277,20 +311,9 @@ let of_bigbytes ba ~pos ~len =
      hex-float parsing, not the copy. *)
   of_binary_string (Mat.bigbytes_sub_string ba ~pos ~len)
 
-let of_string s =
-  if has_binary_magic s then of_binary_string s
-  else begin
-    let pos = ref 0 in
-    let len = String.length s in
-    parse_lines (fun () ->
-        if !pos >= len then None
-        else begin
-          let stop = match String.index_from_opt s !pos '\n' with Some i -> i | None -> len in
-          let l = String.sub s !pos (stop - !pos) in
-          pos := stop + 1;
-          Some l
-        end)
-  end
+let of_string s = if has_binary_magic s then of_binary_string s else of_text s
+
+let load_result ic = of_string (In_channel.input_all ic)
 
 let load ic =
   match load_result ic with

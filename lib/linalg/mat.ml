@@ -37,6 +37,8 @@ let make_plane len =
 
 let create nrows ncols =
   if nrows < 0 || ncols < 0 then invalid_arg "Mat.create: negative dimension";
+  (* A wrapped product would size the planes below what indexing assumes. *)
+  if nrows > 0 && ncols > max_int / 16 / nrows then raise Out_of_memory;
   Atomic.incr alloc_count;
   let len = max (nrows * ncols) 1 in
   ignore (Atomic.fetch_and_add offheap_bytes (16 * len));

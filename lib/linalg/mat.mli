@@ -21,7 +21,8 @@
 type t
 
 val create : int -> int -> t
-(** [create rows cols] zero matrix. *)
+(** [create rows cols] zero matrix.
+    @raise Out_of_memory when the planes' byte size overflows [int]. *)
 
 val identity : int -> t
 

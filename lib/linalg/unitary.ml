@@ -1,6 +1,7 @@
 open Cx
 module Rng = Bose_util.Rng
 module Fnv = Bose_util.Fnv
+module Text = Bose_util.Artifact_text
 
 (* Householder QR. For column k, build v = x + e^{i·arg x₀}‖x‖·e₀ and
    reflect the trailing block of r and the trailing columns of q. *)
@@ -85,47 +86,52 @@ let random_diagonal_phases rng n =
 let to_string m =
   let n = Mat.rows m in
   if Mat.cols m <> n then invalid_arg "Unitary.to_string: square matrices only";
-  let buf = Buffer.create (16 + (n * n * 32)) in
-  Buffer.add_string buf (Printf.sprintf "unitary %d\n" n);
+  let buf = Buffer.create (32 + (n * n * (2 + (2 * Text.max_float_bytes)))) in
+  Buffer.add_string buf "unitary";
+  Text.add_int buf n;
+  Buffer.add_char buf '\n';
   for i = 0 to n - 1 do
     for j = 0 to n - 1 do
       let (v : Cx.t) = Mat.get m i j in
-      Buffer.add_string buf (Printf.sprintf "e %h %h\n" v.re v.im)
+      Buffer.add_char buf 'e';
+      Text.add_float buf v.re;
+      Text.add_float buf v.im;
+      Buffer.add_char buf '\n'
     done
   done;
   Buffer.contents buf
 
 let save oc m = output_string oc (to_string m)
 
-let parse_lines line =
-  let lineno = ref 0 in
-  let exception Bad of string * int in
-  let fail msg = raise (Bad (msg, !lineno)) in
-  let next () =
-    incr lineno;
-    match line () with Some l -> l | None -> fail "truncated input"
-  in
+(* The shortest entry line, "e 0 0\n": a header dimension whose n·n
+   entries cannot fit in the rest of the input is refused before the
+   matrix is allocated (checked as n rows of n entries, so n·n cannot
+   overflow). *)
+let min_entry_bytes = 6
+
+let of_text s =
+  let r = Text.reader s in
   try
-    let n =
-      try Scanf.sscanf (next ()) "unitary %d" (fun n -> n)
-      with Scanf.Scan_failure _ | Failure _ | End_of_file -> fail "bad header"
-    in
-    if n <= 0 then fail "bad header values";
+    Text.line r "bad header";
+    Text.tag r "unitary";
+    let n = Text.int r in
+    Text.eol r;
+    if n <= 0 then Text.fail r "bad header values";
+    Text.reserve r ~lines:n ~min_bytes:min_entry_bytes;
+    Text.reserve r ~lines:n ~min_bytes:(n * min_entry_bytes);
     let m = Mat.create n n in
     for i = 0 to n - 1 do
       for j = 0 to n - 1 do
-        let v =
-          try Scanf.sscanf (next ()) "e %h %h" Cx.make
-          with Scanf.Scan_failure _ | Failure _ | End_of_file -> fail "bad entry line"
-        in
-        Mat.set m i j v
+        Text.line r "bad entry line";
+        Text.tag r "e";
+        let re = Text.float r in
+        let im = Text.float r in
+        Text.eol r;
+        Mat.set m i j (Cx.make re im)
       done
     done;
     Ok m
-  with Bad (msg, l) -> Error (msg, l)
-
-let load_result ic =
-  parse_lines (fun () -> try Some (input_line ic) with End_of_file -> None)
+  with Text.Malformed (msg, l) -> Error (msg, l)
 
 (* Binary artifact format v2 (docs/SERVING.md). Fixed little-endian
    layout so the disk cache can decode an mmapped object without
@@ -212,20 +218,9 @@ let of_bigbytes ba ~pos ~len =
     end
   end
 
-let of_string s =
-  if has_binary_magic s then of_binary_string s
-  else begin
-    let pos = ref 0 in
-    let len = String.length s in
-    parse_lines (fun () ->
-        if !pos >= len then None
-        else begin
-          let stop = match String.index_from_opt s !pos '\n' with Some i -> i | None -> len in
-          let l = String.sub s !pos (stop - !pos) in
-          pos := stop + 1;
-          Some l
-        end)
-  end
+let of_string s = if has_binary_magic s then of_binary_string s else of_text s
+
+let load_result ic = of_string (In_channel.input_all ic)
 
 let load ic =
   match load_result ic with

@@ -26,10 +26,14 @@ val to_string : Mat.t -> string
     @raise Invalid_argument on non-square input. *)
 
 val load_result : in_channel -> (Mat.t, string * int) result
-(** Inverse of {!save}. [Error (message, line)] carries the 1-based
-    line the parse failed on, so callers ([bosec check], the lint file
-    loaders) can surface malformed input as a structured diagnostic
-    instead of an exception. *)
+(** Inverse of {!save}: {!of_string} over the rest of the channel.
+    [Error (message, line)] carries the 1-based line the parse failed
+    on, so callers ([bosec check], the lint file loaders) can surface
+    malformed input as a structured diagnostic instead of an
+    exception. The text layout is strict: one space before each field,
+    nothing else on a line (see {!Bose_util.Artifact_text}). A header
+    whose sizes cannot fit in the rest of the input is an [Error] at
+    line 1, never an allocation. *)
 
 val of_string : string -> (Mat.t, string * int) result
 (** {!load_result} over an in-memory string, dispatching on the leading

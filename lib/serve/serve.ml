@@ -39,7 +39,10 @@ let h_batch_s =
 
 type t = {
   pool : Pool.t option;
-  mem : Pipeline.Cache.t;
+  mem : Pipeline.Cache.t option;
+      (** The pass cache, only without a disk store: every pass
+          fingerprint folds in the fields of the store's key, so behind
+          a store it would only retain artifacts. *)
   disk : Diskcache.t option;
   mutable stop : bool;
   mutable requests : int;
@@ -54,7 +57,7 @@ let create ?(jobs = 1) ?cache_dir ?(max_cache_mb = 64) () =
   if max_cache_mb < 1 then invalid_arg "Serve.create: max_cache_mb must be >= 1";
   {
     pool = (if jobs > 1 then Some (Pool.create ~domains:jobs) else None);
-    mem = Pipeline.Cache.create ();
+    mem = (match cache_dir with None -> Some (Pipeline.Cache.create ()) | Some _ -> None);
     disk =
       Option.map
         (fun dir -> Diskcache.open_ ~dir ~max_bytes:(max_cache_mb * 1024 * 1024))
@@ -367,7 +370,7 @@ type compile_out = {
    caches are owner-domain state. *)
 let do_compile t ~use_mem_cache (req : compile_req) =
   let rng = Rng.create req.seed in
-  let cache = if use_mem_cache then Some t.mem else None in
+  let cache = if use_mem_cache then t.mem else None in
   let c =
     match req.target with
     | Some target ->
@@ -445,6 +448,43 @@ let finish_compile t id (req : compile_req) outcome =
             | None -> "none")
          ~key:req.key ~fidelity:o.co_fidelity ~rotations:o.co_rotations
          ~modes:o.co_modes ~plan:o.co_plan_str ~unitary:o.co_unitary_str ())
+
+(* The reply to a compile whose key the disk store holds, or [None]. *)
+let disk_reply t id (req : compile_req) =
+  match Option.map (fun d -> Diskcache.find d req.key) t.disk with
+  | Some (Some hit) ->
+    (match parse_meta hit.Diskcache.meta with
+     | Some (fidelity, rotations, modes, target) ->
+       count_compile t `Disk;
+       Some
+         (reply_ok id
+            (compile_result ?target ~cached:"disk"
+               ~format:(Diskcache.format_to_string hit.Diskcache.format)
+               ~key:req.key ~fidelity ~rotations ~modes
+               ~plan:(Plan.to_string hit.Diskcache.plan)
+               ~unitary:(Unitary.to_string hit.Diskcache.unitary) ()))
+     | None ->
+       (* Readable object, unreadable meta: recompile and let the
+          write-through repair the entry. *)
+       None)
+  | Some None | None -> None
+
+(* A later request in the batch for a key compiled earlier in it: the
+   first compile's artifacts, through the store when one is attached. *)
+let duplicate_reply t id (req : compile_req) outcome =
+  match outcome with
+  | Error msg -> reply_error t id "internal" msg
+  | Ok o ->
+    (match disk_reply t id req with
+     | Some r -> r
+     | None ->
+       count_compile t `Mem;
+       reply_ok id
+         (compile_result
+            ?target:(Option.map (fun (t : Target.t) -> t.Target.name) req.target)
+            ~cached:"mem" ~format:"none" ~key:req.key ~fidelity:o.co_fidelity
+            ~rotations:o.co_rotations ~modes:o.co_modes ~plan:o.co_plan_str
+            ~unitary:o.co_unitary_str ()))
 
 let do_sample t (req : sample_req) =
   let rng = Rng.create req.s_seed in
@@ -543,7 +583,11 @@ let do_analyze t (req : analyze_req) =
      | Some (t : Target.t) -> [ ("target", Json.Str t.Target.name) ])
 
 let stats_result t =
-  let mem = Pipeline.Cache.stats t.mem in
+  let mem_hits, mem_misses, mem_entries =
+    match Option.map Pipeline.Cache.stats t.mem with
+    | None -> (0, 0, 0)
+    | Some s -> Pipeline.Cache.(s.hits, s.misses, s.entries)
+  in
   let disk =
     match t.disk with
     | None -> Json.Null
@@ -576,9 +620,9 @@ let stats_result t =
       ( "mem_cache",
         Json.Obj
           [
-            ("hits", Json.Num (float_of_int mem.Pipeline.Cache.hits));
-            ("misses", Json.Num (float_of_int mem.Pipeline.Cache.misses));
-            ("entries", Json.Num (float_of_int mem.Pipeline.Cache.entries));
+            ("hits", Json.Num (float_of_int mem_hits));
+            ("misses", Json.Num (float_of_int mem_misses));
+            ("entries", Json.Num (float_of_int mem_entries));
           ] );
       ("disk_cache", disk);
       ( "jobs",
@@ -597,8 +641,11 @@ let handle_many t lines =
   t.requests <- t.requests + n;
   Obs.Counter.incr ~by:n c_requests;
   let replies = Array.make n "" in
-  (* Phase 1: everything except compile misses, plus disk lookups. *)
-  let miss_idx = ref [] in
+  (* Phase 1: everything except compile misses, plus disk lookups. The
+     first miss of each key compiles; later requests for the key wait
+     for it. [owner] maps a key to its compile's place in [misses]. *)
+  let miss_idx = ref [] and dup_idx = ref [] in
+  let owner = Hashtbl.create 8 in
   Array.iteri
     (fun i (id, req) ->
        match req with
@@ -619,56 +666,42 @@ let handle_many t lines =
             | Bad_request msg -> reply_error t id "bad-request" msg
             | e -> reply_error t id "internal" (Printexc.to_string e))
        | Ok (Compile req) ->
-         (match Option.map (fun d -> Diskcache.find d req.key) t.disk with
-          | Some (Some hit) ->
-            (match parse_meta hit.Diskcache.meta with
-             | Some (fidelity, rotations, modes, target) ->
-               count_compile t `Disk;
-               replies.(i) <-
-                 reply_ok id
-                   (compile_result ?target ~cached:"disk"
-                      ~format:(Diskcache.format_to_string hit.Diskcache.format)
-                      ~key:req.key ~fidelity ~rotations ~modes
-                      ~plan:(Plan.to_string hit.Diskcache.plan)
-                      ~unitary:(Unitary.to_string hit.Diskcache.unitary) ())
-             | None ->
-               (* Readable object, unreadable meta: recompile and let
-                  the write-through repair the entry. *)
-               miss_idx := i :: !miss_idx)
-          | Some None | None -> miss_idx := i :: !miss_idx))
+         if Hashtbl.mem owner req.key then dup_idx := i :: !dup_idx
+         else begin
+           match disk_reply t id req with
+           | Some r -> replies.(i) <- r
+           | None ->
+             Hashtbl.add owner req.key (Hashtbl.length owner);
+             miss_idx := i :: !miss_idx
+         end)
     parsed;
-  (* Phase 2: compile misses. Two or more fan out cold over the pool;
-     a single miss compiles inline through the in-memory pass cache. *)
+  (* Phase 2: compile misses, one per key. Two or more fan out cold
+     over the pool; a single miss compiles inline (through the pass
+     cache when there is no store). *)
   let misses = Array.of_list (List.rev !miss_idx) in
   let job i =
     match snd parsed.(i) with
     | Ok (Compile req) -> req
     | _ -> assert false
   in
-  (match (t.pool, Array.length misses) with
-   | Some pool, m when m > 1 ->
-     let outcomes =
-       Pool.map pool
-         (fun i ->
-            try Ok (do_compile t ~use_mem_cache:false (job i))
-            with e -> Error (Printexc.to_string e))
-         misses
-     in
-     Array.iteri
-       (fun k i ->
-          let id, _ = parsed.(i) in
-          replies.(i) <- finish_compile t id (job i) outcomes.(k))
-       misses
-   | _ ->
-     Array.iter
-       (fun i ->
-          let id, _ = parsed.(i) in
-          let outcome =
-            try Ok (do_compile t ~use_mem_cache:true (job i))
-            with e -> Error (Printexc.to_string e)
-          in
-          replies.(i) <- finish_compile t id (job i) outcome)
-       misses);
+  let compile ~use_mem_cache i =
+    try Ok (do_compile t ~use_mem_cache (job i)) with e -> Error (Printexc.to_string e)
+  in
+  let outcomes =
+    match t.pool with
+    | Some pool when Array.length misses > 1 ->
+      Pool.map pool (compile ~use_mem_cache:false) misses
+    | _ -> Array.map (compile ~use_mem_cache:true) misses
+  in
+  Array.iteri
+    (fun k i -> replies.(i) <- finish_compile t (fst parsed.(i)) (job i) outcomes.(k))
+    misses;
+  (* Phase 3: the waiting duplicates, after the write-through. *)
+  List.iter
+    (fun i ->
+       let req = job i in
+       replies.(i) <- duplicate_reply t (fst parsed.(i)) req outcomes.(Hashtbl.find owner req.key))
+    (List.rev !dup_idx);
   refresh_hit_rate t;
   refresh_cache_gauges t;
   Obs.Histo.observe h_batch_s (Obs.now () -. t0);
@@ -697,39 +730,52 @@ let serve_channels t ic oc =
 (* Unix-domain socket server: one select loop, per-client line buffers,
    any number of concurrent clients. Complete lines arriving in the
    same select round (across all clients) form one pool batch. *)
-type client = { fd : Unix.file_descr; buf : Buffer.t }
+type client = { fd : Unix.file_descr; pending : Buffer.t  (** A partial line. *) }
+
+(* Write [s] and its newline without copying [s]: the bulk goes
+   straight from the string, the last [Bytes.length tail - 1] bytes
+   go with the newline through [tail], so a reply that fits leaves in
+   one write. *)
+let write_line fd tail s =
+  let len = String.length s in
+  let head = max 0 (len - (Bytes.length tail - 1)) in
+  let rec bulk off = if off < head then bulk (off + Unix.write_substring fd s off (head - off)) in
+  bulk 0;
+  let k = len - head in
+  Bytes.blit_string s head tail 0 k;
+  Bytes.set tail k '\n';
+  let rec last off = if off <= k then last (off + Unix.write fd tail off (k + 1 - off)) in
+  last 0
 
 let serve_socket t ~path =
   if Sys.file_exists path then Sys.remove path;
   let srv = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.bind srv (Unix.ADDR_UNIX path);
   Unix.listen srv 16;
+  (* A client that hangs up before its reply is read would otherwise
+     kill the process with SIGPIPE; ignored, the write fails with EPIPE
+     (or ECONNRESET) and only that client is dropped. *)
+  let sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
   let clients = ref [] in
   let close_client c =
     clients := List.filter (fun c' -> c'.fd != c.fd) !clients;
     try Unix.close c.fd with Unix.Unix_error _ -> ()
   in
-  let write_all fd s =
-    let b = Bytes.of_string s in
-    let rec go off =
-      if off < Bytes.length b then
-        go (off + Unix.write fd b off (Bytes.length b - off))
-    in
-    go 0
-  in
-  let chunk = Bytes.create 65536 in
-  (* Drain complete lines out of a client's buffer. *)
-  let take_lines c =
-    let data = Buffer.contents c.buf in
-    let rec go pos acc =
-      match String.index_from_opt data pos '\n' with
-      | None ->
-        Buffer.clear c.buf;
-        Buffer.add_substring c.buf data pos (String.length data - pos);
-        List.rev acc
-      | Some i -> go (i + 1) (String.sub data pos (i - pos) :: acc)
-    in
-    go 0 []
+  let chunk = Bytes.create 65536 and tail = Bytes.create 65536 in
+  (* Complete lines in the [n] bytes just read. Only those bytes are
+     scanned, so a long line costs linear time; its head waits in
+     [pending], which is reset (not kept at its peak size) after. *)
+  let take_lines c n emit =
+    let start = ref 0 in
+    for i = 0 to n - 1 do
+      if Bytes.unsafe_get chunk i = '\n' then begin
+        Buffer.add_subbytes c.pending chunk !start (i - !start);
+        emit (Buffer.contents c.pending);
+        Buffer.reset c.pending;
+        start := i + 1
+      end
+    done;
+    Buffer.add_subbytes c.pending chunk !start (n - !start)
   in
   while not t.stop do
     let fds = srv :: List.map (fun c -> c.fd) !clients in
@@ -743,7 +789,7 @@ let serve_socket t ~path =
       (fun fd ->
          if fd == srv then begin
            match Unix.accept srv with
-           | cfd, _ -> clients := { fd = cfd; buf = Buffer.create 256 } :: !clients
+           | cfd, _ -> clients := { fd = cfd; pending = Buffer.create 256 } :: !clients
            | exception Unix.Unix_error _ -> ()
          end
          else
@@ -752,9 +798,7 @@ let serve_socket t ~path =
            | Some c ->
              (match Unix.read c.fd chunk 0 (Bytes.length chunk) with
               | 0 -> close_client c
-              | n ->
-                Buffer.add_subbytes c.buf chunk 0 n;
-                List.iter (fun line -> batch := (c, line) :: !batch) (take_lines c)
+              | n -> take_lines c n (fun line -> batch := (c, line) :: !batch)
               | exception Unix.Unix_error _ -> close_client c))
       ready;
     let batch = List.rev !batch in
@@ -762,12 +806,15 @@ let serve_socket t ~path =
       let replies = handle_many t (List.map snd batch) in
       List.iter2
         (fun (c, _) reply ->
-           try write_all c.fd (reply ^ "\n")
-           with Unix.Unix_error _ -> close_client c)
+           (* A failed write (EPIPE, ECONNRESET) is that client's
+              disconnect; its later replies in the batch are dropped. *)
+           if List.memq c !clients then
+             try write_line c.fd tail reply with Unix.Unix_error _ -> close_client c)
         batch replies
     end
   done;
   List.iter (fun c -> try Unix.close c.fd with Unix.Unix_error _ -> ()) !clients;
   (try Unix.close srv with Unix.Unix_error _ -> ());
   (try Sys.remove path with Sys_error _ -> ());
+  Sys.set_signal Sys.sigpipe sigpipe;
   shutdown t

@@ -13,15 +13,21 @@
     [parse], [bad-request] or [internal]. A malformed line never kills
     the server.
 
-    Compile results are cached at two levels: the in-process
-    {!Bosehedral.Pipeline.Cache} (pass-level artifacts) and a
-    {!Bose_store.Diskcache} keyed by a {!Bosehedral.Pass.Fingerprint}
-    over the request's full content (config, tau, effort, device,
-    unitary entries — the seed is deliberately excluded: same content,
-    same artifact). A disk hit returns the stored bytes verbatim, so
-    artifacts are bit-identical across server restarts.
+    Compile results are cached in one tier. With a cache directory it
+    is a {!Bose_store.Diskcache} keyed by a
+    {!Bosehedral.Pass.Fingerprint} over the request's full content
+    (config, tau, effort, device, unitary entries — the seed is
+    deliberately excluded: same content, same artifact); a disk hit
+    returns the stored bytes verbatim, so artifacts are bit-identical
+    across server restarts. Without one it is the in-process
+    {!Bosehedral.Pipeline.Cache} of pass-level artifacts. (Every pass
+    fingerprint folds in the fields of the disk key, so behind a store
+    the pass cache would only hold memory.)
 
-    Batches of compile misses arriving together are fanned out over a
+    Within a batch each key compiles once: later requests for it get
+    the first compile's artifacts, as a disk hit after the
+    write-through, or as [cached:"mem"] without a store. Batches of
+    two or more distinct misses are fanned out over a
     {!Bose_par.Pool}; sampling requests hand the pool to the sampler's
     chain fan-out. All cache state is owner-domain-only — pool tasks
     compile cold and never touch either cache.
@@ -65,5 +71,7 @@ val serve_socket : t -> path:string -> unit
 (** Bind a Unix-domain socket at [path] (replacing a stale socket
     file), accept any number of concurrent clients, and serve until a
     [shutdown] request. Lines arriving together across clients are
-    handled as one {!handle_many} batch. The socket file is removed on
-    exit. *)
+    handled as one {!handle_many} batch. Framing is linear in the bytes
+    read, however long the line. SIGPIPE is ignored while serving: a
+    client that hangs up before reading its reply is dropped, the
+    others are unaffected. The socket file is removed on exit. *)

@@ -107,14 +107,22 @@ let parse s =
     pos := !pos + 4;
     v
   in
+  (* Plain bytes are blitted a run at a time, up to the next quote or
+     backslash. *)
   let parse_string () =
     expect '"';
     let buf = Buffer.create 16 in
     let rec go () =
+      let i = ref !pos in
+      while !i < len && (match String.unsafe_get s !i with '"' | '\\' -> false | _ -> true) do
+        incr i
+      done;
+      Buffer.add_substring buf s !pos (!i - !pos);
+      pos := !i;
       match peek () with
       | None -> fail "unterminated string"
       | Some '"' -> advance ()
-      | Some '\\' ->
+      | Some _ ->
         advance ();
         (match peek () with
          | Some '"' -> advance (); Buffer.add_char buf '"'; go ()
@@ -146,10 +154,6 @@ let parse s =
            end;
            go ()
          | _ -> fail "bad escape")
-      | Some c ->
-        advance ();
-        Buffer.add_char buf c;
-        go ()
     in
     go ();
     Buffer.contents buf

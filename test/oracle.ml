@@ -2,9 +2,11 @@
    test_oracle.ml: the elimination schedule builder, the decomposition,
    the mapping polish loop, the dropout policy search and the
    xoshiro256** generator as they were before the per-trial overhead
-   was taken out of polish and dropout. They are slow on purpose —
-   full decompositions per trial, polymorphic sorts, a boxed RNG state
-   — and the library's versions must reproduce their every bit. *)
+   was taken out of polish and dropout, and the Printf/Scanf text
+   codecs of Plan and Unitary. They are slow on purpose — full
+   decompositions per trial, polymorphic sorts, a boxed RNG state, a
+   format interpreter per line — and the library's versions must
+   reproduce their every bit. *)
 
 module Cx = Bose_linalg.Cx
 module Mat = Bose_linalg.Mat
@@ -309,3 +311,99 @@ let make_policy ?(powers = [ 1; 2; 5; 10; 20; 50; 100 ]) ?(iterations = 40) rng 
     in
     { Dropout.tau; theta_cut; kept_count; power; weights; expected_fidelity }
   end
+
+(* ---- text codecs: one Printf per line out, one Scanf per line in ---- *)
+
+let unitary_to_string m =
+  let n = Mat.rows m in
+  let buf = Buffer.create (16 + (n * n * 32)) in
+  Buffer.add_string buf (Printf.sprintf "unitary %d\n" n);
+  for i = 0 to n - 1 do
+    for j = 0 to n - 1 do
+      let (v : Cx.t) = Mat.get m i j in
+      Buffer.add_string buf (Printf.sprintf "e %h %h\n" v.re v.im)
+    done
+  done;
+  Buffer.contents buf
+
+let plan_to_string (t : Plan.t) =
+  let buf = Buffer.create (64 + (Array.length t.Plan.elements * 64)) in
+  Buffer.add_string buf
+    (Printf.sprintf "plan %d %d\n" t.Plan.modes (Array.length t.Plan.elements));
+  Array.iter
+    (fun { Plan.rotation = { Givens.m; n; c; s; ere; eim }; row } ->
+       Buffer.add_string buf (Printf.sprintf "r %d %d %d %h %h %h %h\n" row m n c s ere eim))
+    t.Plan.elements;
+  Array.iter
+    (fun (lam : Cx.t) -> Buffer.add_string buf (Printf.sprintf "l %h %h\n" lam.re lam.im))
+    t.Plan.lambda;
+  Buffer.contents buf
+
+(* The lines of [s], split at '\n'; the last may lack it. *)
+let line_reader s =
+  let pos = ref 0 in
+  let len = String.length s in
+  fun () ->
+    if !pos >= len then None
+    else begin
+      let stop = match String.index_from_opt s !pos '\n' with Some i -> i | None -> len in
+      let l = String.sub s !pos (stop - !pos) in
+      pos := stop + 1;
+      Some l
+    end
+
+exception Bad_text of string
+
+let fail msg = raise (Bad_text msg)
+
+(* [f next] with [next] reading the next line; a failure carries the
+   number of the last line read. *)
+let parse_lines_with s f =
+  let line = line_reader s in
+  let lineno = ref 0 in
+  let next () =
+    incr lineno;
+    match line () with Some l -> l | None -> fail "truncated input"
+  in
+  try Ok (f next) with Bad_text msg -> Error (msg, !lineno)
+
+let unitary_of_string s =
+  parse_lines_with s (fun next ->
+      let n =
+        try Scanf.sscanf (next ()) "unitary %d" (fun n -> n)
+        with Scanf.Scan_failure _ | Failure _ | End_of_file -> fail "bad header"
+      in
+      if n <= 0 then fail "bad header values";
+      let m = Mat.create n n in
+      for i = 0 to n - 1 do
+        for j = 0 to n - 1 do
+          let v =
+            try Scanf.sscanf (next ()) "e %h %h" Cx.make
+            with Scanf.Scan_failure _ | Failure _ | End_of_file -> fail "bad entry line"
+          in
+          Mat.set m i j v
+        done
+      done;
+      m)
+
+let plan_of_string s =
+  parse_lines_with s (fun next ->
+      let modes, count =
+        try Scanf.sscanf (next ()) "plan %d %d" (fun a b -> (a, b))
+        with Scanf.Scan_failure _ | Failure _ | End_of_file -> fail "bad header"
+      in
+      if modes <= 0 || count < 0 then fail "bad header values";
+      let elements =
+        Array.init count (fun _ ->
+            try
+              Scanf.sscanf (next ()) "r %d %d %d %h %h %h %h"
+                (fun row m n c s ere eim ->
+                   { Plan.rotation = { Givens.m; n; c; s; ere; eim }; row })
+            with Scanf.Scan_failure _ | Failure _ | End_of_file -> fail "bad rotation line")
+      in
+      let lambda =
+        Array.init modes (fun _ ->
+            try Scanf.sscanf (next ()) "l %h %h" Cx.make
+            with Scanf.Scan_failure _ | Failure _ | End_of_file -> fail "bad lambda line")
+      in
+      { Plan.modes; elements; lambda })

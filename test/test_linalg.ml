@@ -293,6 +293,14 @@ let test_of_arrays_zero_cols () =
   Alcotest.check_raises "zero columns" (Invalid_argument "Mat.of_arrays: zero columns")
     (fun () -> ignore (Mat.of_arrays [| [||]; [||] |]))
 
+(* 2^32 x 2^32 wraps the element count to 0: the planes would be one
+   element long while indexing assumed 2^64. *)
+let test_create_overflowing_dims () =
+  Alcotest.check_raises "element count wraps" Out_of_memory (fun () ->
+      ignore (Mat.create (1 lsl 32) (1 lsl 32)));
+  Alcotest.check_raises "byte count wraps" Out_of_memory (fun () ->
+      ignore (Mat.create (1 lsl 30) (1 lsl 30)))
+
 let test_gemm_matches_naive () =
   let rng = Rng.create 40 in
   (* Non-square shapes, including degenerate 1×1, straddle the blocking
@@ -975,6 +983,7 @@ let () =
       ( "kernels",
         [
           Alcotest.test_case "of_arrays zero cols" `Quick test_of_arrays_zero_cols;
+          Alcotest.test_case "create overflowing dims" `Quick test_create_overflowing_dims;
           Alcotest.test_case "gemm vs naive" `Quick test_gemm_matches_naive;
           Alcotest.test_case "gemm variants vs naive" `Quick test_gemm_variants_match_naive;
           Alcotest.test_case "gemm aliasing" `Quick test_gemm_rejects_aliasing;

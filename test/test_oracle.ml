@@ -3,7 +3,9 @@
    implementations in oracle.ml. The two sides share only the substrate
    (Givens derivation, rotation kernels, plan replay, permutations), so
    a change in a derived angle, a sorted sum, a tie order or a draw
-   shows up here as a differing bit. *)
+   shows up here as a differing bit. The Plan/Unitary text codecs are
+   held to the Printf/Scanf ones the same way, byte for byte out and
+   bit for bit in. *)
 
 module Rng = Bose_util.Rng
 module Cx = Bose_linalg.Cx
@@ -233,6 +235,167 @@ let prop_rng =
        in
        first && copied && children && keyed && derived)
 
+(* ---- text codecs: the library's against the Printf/Scanf ones ---- *)
+
+(* ±0, the subnormal range, ±max, ±inf and NaNs of both signs; the
+   rest of the time a raw 64-bit pattern. *)
+let edge_floats =
+  [|
+    0.; -0.; 0x1p-1074; -0x1p-1074; 0x0.fffffffffffffp-1022; Float.min_float; max_float;
+    -.max_float; infinity; neg_infinity; nan; -.nan; Int64.float_of_bits 0x7ff0000000000001L;
+    1.; -1.;
+  |]
+
+let random_float st =
+  if Random.State.int st 4 = 0 then edge_floats.(Random.State.int st (Array.length edge_floats))
+  else Int64.float_of_bits (Random.State.bits64 st)
+
+let random_cx st = Cx.make (random_float st) (random_float st)
+
+let random_matrix st =
+  let n = 1 + Random.State.int st 5 in
+  Mat.init n n (fun _ _ -> random_cx st)
+
+(* Indices are mostly in range, sometimes any int (min_int and max_int
+   included): the codec does not check them, [Lint] does. *)
+let random_plan st =
+  let modes = 1 + Random.State.int st 5 in
+  let index () =
+    match Random.State.int st 10 with
+    | 0 -> Int64.to_int (Random.State.bits64 st)
+    | 1 -> if Random.State.bool st then min_int else max_int
+    | _ -> Random.State.int st modes
+  in
+  let element () =
+    let row = index () and m = index () and n = index () in
+    let c = random_float st and s = random_float st in
+    let ere = random_float st and eim = random_float st in
+    { Plan.rotation = { Givens.m; n; c; s; ere; eim }; row }
+  in
+  {
+    Plan.modes;
+    elements = Array.init (Random.State.int st 8) (fun _ -> element ());
+    lambda = Array.init modes (fun _ -> random_cx st);
+  }
+
+let same_bits a b = Int64.equal (bits a) (bits b)
+
+let same_matrix a b =
+  Mat.dims a = Mat.dims b
+  && List.for_all
+       (fun (i, j) ->
+          let x = Mat.get a i j and y = Mat.get b i j in
+          same_bits x.Complex.re y.Complex.re && same_bits x.Complex.im y.Complex.im)
+       (List.concat (List.init (Mat.rows a) (fun i -> List.init (Mat.cols a) (fun j -> (i, j)))))
+
+let same_plan (a : Plan.t) (b : Plan.t) =
+  let same_cx (x : Cx.t) (y : Cx.t) = same_bits x.re y.re && same_bits x.im y.im in
+  let same_element (x : Plan.element) (y : Plan.element) =
+    let r = x.Plan.rotation and q = y.Plan.rotation in
+    x.Plan.row = y.Plan.row && r.Givens.m = q.Givens.m && r.Givens.n = q.Givens.n
+    && same_bits r.Givens.c q.Givens.c && same_bits r.Givens.s q.Givens.s
+    && same_bits r.Givens.ere q.Givens.ere && same_bits r.Givens.eim q.Givens.eim
+  in
+  a.Plan.modes = b.Plan.modes
+  && Array.length a.Plan.elements = Array.length b.Plan.elements
+  && Array.for_all2 same_element a.Plan.elements b.Plan.elements
+  && Array.for_all2 same_cx a.Plan.lambda b.Plan.lambda
+
+(* A parsed value equals the printed one bit for bit, except that a
+   NaN comes back as whatever NaN its text names. *)
+let same_value x y = same_bits x y || (Float.is_nan x && Float.is_nan y)
+
+let prop_text_printers =
+  QCheck.Test.make ~name:"text printers are byte-identical to Printf" ~count:200 QCheck.int
+    (fun seed ->
+       let st = Random.State.make [| seed |] in
+       let u = random_matrix st and p = random_plan st in
+       Unitary.to_string u = Oracle.unitary_to_string u
+       && Plan.to_string p = Oracle.plan_to_string p)
+
+let prop_text_roundtrip =
+  QCheck.Test.make ~name:"text parsers read printed values back, as Scanf does" ~count:200
+    QCheck.int (fun seed ->
+        let st = Random.State.make [| seed |] in
+        let u = random_matrix st and p = random_plan st in
+        let utext = Unitary.to_string u and ptext = Plan.to_string p in
+        match
+          ( Unitary.of_string utext, Oracle.unitary_of_string utext, Plan.of_string ptext,
+            Oracle.plan_of_string ptext )
+        with
+        | Ok u', Ok ou, Ok p', Ok op ->
+          same_matrix u' ou && same_plan p' op
+          && List.for_all
+               (fun (i, j) ->
+                  let x = Mat.get u i j and y = Mat.get u' i j in
+                  same_value x.Complex.re y.Complex.re && same_value x.Complex.im y.Complex.im)
+               (List.concat
+                  (List.init (Mat.rows u) (fun i -> List.init (Mat.cols u) (fun j -> (i, j)))))
+          && Array.for_all2
+               (fun (x : Plan.element) (y : Plan.element) ->
+                  x.Plan.row = y.Plan.row
+                  && same_value x.Plan.rotation.Givens.c y.Plan.rotation.Givens.c
+                  && same_value x.Plan.rotation.Givens.eim y.Plan.rotation.Givens.eim)
+               p.Plan.elements p'.Plan.elements
+        | _ -> false)
+
+(* Bytes a mutation inserts: mostly the format's own, so mutants stay
+   close to valid text. *)
+let palette = " \n\t\r-+_.0123456789abcdefxpnirlEXP\255"
+
+let mutate st text =
+  let len = String.length text in
+  let at () = Random.State.int st (max 1 len) in
+  match Random.State.int st 5 with
+  | 0 when len > 0 ->
+    let b = Bytes.of_string text in
+    let i = at () in
+    Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl Random.State.int st 8)));
+    Bytes.to_string b
+  | 1 -> String.sub text 0 (at ())
+  | 2 ->
+    let i = at () in
+    String.sub text 0 i
+    ^ String.make 1 palette.[Random.State.int st (String.length palette)]
+    ^ String.sub text i (len - i)
+  | 3 when len > 0 ->
+    let i = at () in
+    String.sub text 0 i ^ String.sub text (i + 1) (len - i - 1)
+  | _ ->
+    (* A dimension lie on the header line. *)
+    let stop = Option.value ~default:len (String.index_opt text '\n') in
+    let lie () =
+      [| "0"; "1"; "2"; "3"; "7"; "-1"; "20000"; "3000000"; "2000000000"; "99999999999999999999" |].(
+        Random.State.int st 10)
+    in
+    let header =
+      if String.length text > 0 && text.[0] = 'p' then Printf.sprintf "plan %s %s" (lie ()) (lie ())
+      else "unitary " ^ lie ()
+    in
+    header ^ String.sub text stop (len - stop)
+
+(* Never an exception; and whenever the library accepts, Scanf accepts
+   and reads the same bits. *)
+let prop_text_mutations =
+  QCheck.Test.make ~name:"text parsers never raise, and agree with Scanf when they accept"
+    ~count:500 QCheck.int (fun seed ->
+        let st = Random.State.make [| seed |] in
+        let mutants text = List.init 4 (fun _ -> mutate st (mutate st text)) in
+        let unitary_ok text =
+          match Unitary.of_string text with
+          | Ok u -> (match Oracle.unitary_of_string text with Ok o -> same_matrix u o | Error _ -> false)
+          | Error _ -> true
+          | exception e -> QCheck.Test.fail_reportf "Unitary.of_string raised %s" (Printexc.to_string e)
+        in
+        let plan_ok text =
+          match Plan.of_string text with
+          | Ok p -> (match Oracle.plan_of_string text with Ok o -> same_plan p o | Error _ -> false)
+          | Error _ -> true
+          | exception e -> QCheck.Test.fail_reportf "Plan.of_string raised %s" (Printexc.to_string e)
+        in
+        List.for_all unitary_ok (mutants (Unitary.to_string (random_matrix st)))
+        && List.for_all plan_ok (mutants (Plan.to_string (random_plan st))))
+
 let () =
   Alcotest.run "bose_oracle"
     [
@@ -246,5 +409,8 @@ let () =
       ( "properties",
         List.map
           (fun t -> QCheck_alcotest.to_alcotest t)
-          [ prop_schedule; prop_masks; prop_tied_masks; prop_rng ] );
+          [
+            prop_schedule; prop_masks; prop_tied_masks; prop_rng; prop_text_printers;
+            prop_text_roundtrip; prop_text_mutations;
+          ] );
     ]

@@ -307,6 +307,34 @@ let test_protocol_basics () =
   Alcotest.(check (option string)) "bad params" (Some "bad-request")
     (get_str [ "error"; "code" ]
        (Serve.handle_line t {|{"op":"compile","params":{"modes":0}}|}));
+  (* Artifact text whose header claims more than the request holds is
+     refused at its line before anything is allocated for it. The
+     3,000,000 case comes first: a parser that allocates from the
+     header dies on it at once (Out_of_memory), not on the 6.4 GB of
+     the 20,000 one. *)
+  List.iter
+    (fun (op, field, text, prefix) ->
+       let reply =
+         Serve.handle_line t
+           (Json.to_string
+              (Json.Obj
+                 [
+                   ("op", Json.Str op); ("params", Json.Obj [ (field, Json.Str text) ]);
+                 ]))
+       in
+       Alcotest.(check (option string)) (text ^ ": code") (Some "bad-request")
+         (get_str [ "error"; "code" ] reply);
+       let message = Option.value ~default:"" (get_str [ "error"; "message" ] reply) in
+       Alcotest.(check bool)
+         (text ^ ": " ^ message) true
+         (String.starts_with ~prefix message))
+    [
+      ("compile", "unitary", "unitary 3000000\ne 0x1p+0 0x0p+0\n", "unitary line 1:");
+      ("compile", "unitary", "unitary 20000\ne 0x1p+0 0x0p+0\n", "unitary line 1:");
+      ("analyze", "plan", "plan 4 2000000000\n", "plan line ");
+    ];
+  Alcotest.(check bool) "alive after oversized headers" true
+    (ok_reply (Serve.handle_line t {|{"id":4,"op":"ping"}|}));
   Alcotest.(check bool) "stats" true
     (ok_reply (Serve.handle_line t {|{"op":"stats"}|}));
   Alcotest.(check bool) "sample" true
@@ -385,9 +413,9 @@ let test_restart_disk_hit_bit_identical () =
      binary encoding and the reply says so. *)
   Alcotest.(check (option string)) "cold stores binary" (Some "binary")
     (get_str [ "result"; "format" ] r1);
-  (* The write-through makes a repeat request a disk hit immediately —
-     disk is checked before the pass cache, so the reply skips the
-     compile machinery entirely. *)
+  (* The write-through makes a repeat request a disk hit immediately,
+     so the reply skips the compile machinery entirely (with a store
+     attached there is no pass cache at all). *)
   let r2 = Serve.handle_line t1 (compile_req ~id:2 ~seed:42) in
   Alcotest.(check (option string)) "warm in-process" (Some "disk")
     (get_str [ "result"; "cached" ] r2);
@@ -429,6 +457,53 @@ let test_restart_disk_hit_bit_identical () =
          (get_str [ "result"; field ] r3))
     [ "plan"; "unitary"; "key" ];
   Serve.shutdown t2
+
+(* One key, one artifact per batch: two inline compiles of one N=16
+   unitary with different seeds (the key excludes the seed) plus a
+   seed-form compile, so at jobs 2 the two distinct keys go over the
+   pool. Every reply for the key must carry the first compile's
+   artifacts, as must a later request for it. *)
+let test_batch_one_compile_per_key () =
+  let text = Unitary.to_string (Unitary.haar_random (Rng.create 77) 16) in
+  let req id seed =
+    Json.to_string
+      (Json.Obj
+         [
+           ("id", Json.Num (float_of_int id));
+           ("op", Json.Str "compile");
+           ("params", Json.Obj [ ("unitary", Json.Str text); ("seed", Json.Num (float_of_int seed)) ]);
+         ])
+  in
+  List.iter
+    (fun (jobs, store) ->
+       with_dir @@ fun dir ->
+       let label = Printf.sprintf "jobs %d, %s" jobs (if store then "store" else "no store") in
+       let t = Serve.create ~jobs ?cache_dir:(if store then Some dir else None) () in
+       let replies = Serve.handle_many t [ req 1 1; compile_req ~id:2 ~seed:5; req 3 2 ] in
+       let later = Serve.handle_line t (req 4 1) in
+       (match replies with
+        | [ first; other; dup ] ->
+          Alcotest.(check bool) (label ^ ": other ok") true (ok_reply other);
+          List.iter
+            (fun (what, r) ->
+               List.iter
+                 (fun field ->
+                    Alcotest.(check (option string))
+                      (Printf.sprintf "%s: %s %s" label what field)
+                      (get_str [ "result"; field ] first) (get_str [ "result"; field ] r))
+                 [ "key"; "plan"; "unitary" ];
+               Alcotest.(check (option (float 0.)))
+                 (Printf.sprintf "%s: %s fidelity" label what)
+                 (get_num [ "result"; "fidelity" ] first) (get_num [ "result"; "fidelity" ] r))
+            [ ("duplicate", dup); ("later", later) ];
+          Alcotest.(check (option string)) (label ^ ": first compiles") (Some "none")
+            (get_str [ "result"; "cached" ] first);
+          Alcotest.(check (option string)) (label ^ ": duplicate")
+            (Some (if store then "disk" else "mem"))
+            (get_str [ "result"; "cached" ] dup)
+        | _ -> Alcotest.fail "three replies expected");
+       Serve.shutdown t)
+    [ (2, false); (2, true); (1, false); (1, true) ]
 
 (* ------------------------------------------------------- targets *)
 
@@ -541,6 +616,15 @@ let send_line fd line =
   in
   go 0
 
+(* [line] and its newline in [k]-byte writes. *)
+let send_pieces fd line k =
+  let b = Bytes.of_string (line ^ "\n") in
+  let rec go off =
+    if off < Bytes.length b then
+      go (off + Unix.write fd b off (min k (Bytes.length b - off)))
+  in
+  go 0
+
 let recv_line fd =
   let buf = Buffer.create 256 in
   let one = Bytes.create 1 in
@@ -592,6 +676,40 @@ let test_socket_concurrent_clients () =
        (* Second request on a live connection still works. *)
        send_line b (compile_req ~id:203 ~seed:7);
        Alcotest.(check bool) "b compile ok" true (ok_reply (recv_line b));
+       (* A client that sends a compile and hangs up before its reply:
+          the failed write drops that client, not the server. *)
+       let inline id =
+         Json.to_string
+           (Json.Obj
+              [
+                ("id", Json.Num (float_of_int id));
+                ("op", Json.Str "compile");
+                ( "params",
+                  Json.Obj
+                    [
+                      ( "unitary",
+                        Json.Str (Unitary.to_string (Unitary.haar_random (Rng.create 32) 32)) );
+                    ] );
+              ])
+       in
+       let c = connect_with_retry path in
+       send_line c (inline 301);
+       Unix.close c;
+       send_line b {|{"id":204,"op":"ping"}|};
+       Alcotest.(check bool) "pong after a hang-up" true (ok_reply (recv_line b));
+       (* Framing: one line in 1-byte and in 1000-byte writes, and two
+          lines in one write. *)
+       send_pieces a (inline 105) 1;
+       let r1 = recv_line a in
+       send_pieces a (inline 106) 1000;
+       let r1000 = recv_line a in
+       Alcotest.(check bool) "1-byte pieces ok" true (ok_reply r1);
+       Alcotest.(check bool) "1000-byte pieces ok" true (ok_reply r1000);
+       Alcotest.(check (option string)) "same plan either way"
+         (get_str [ "result"; "plan" ] r1) (get_str [ "result"; "plan" ] r1000);
+       send_pieces a ({|{"id":107,"op":"ping"}|} ^ "\n" ^ {|{"id":108,"op":"ping"}|}) 4096;
+       Alcotest.(check bool) "first of two" true (id (recv_line a) = Some (Json.Num 107.));
+       Alcotest.(check bool) "second of two" true (id (recv_line a) = Some (Json.Num 108.));
        send_line a {|{"id":104,"op":"shutdown"}|};
        Alcotest.(check bool) "shutdown acked" true (ok_reply (recv_line a)));
   Domain.join server;
@@ -624,6 +742,8 @@ let () =
             test_analyze_op;
           Alcotest.test_case "restart disk hit is bit-identical" `Quick
             test_restart_disk_hit_bit_identical;
+          Alcotest.test_case "one compile per key in a batch" `Quick
+            test_batch_one_compile_per_key;
         ] );
       ( "target",
         [
