@@ -349,6 +349,34 @@ let sweep_throughput_row ~n =
   Printf.printf "sweep-kernel-%-14d %9.1f Melem/s (%s path, %d rots/pass, %d iters)\n" n
     melems path rots iters
 
+(* Elimination throughput at the paper's N=500 tier: Eliminate.decompose
+   of a Haar unitary along the chain pattern, best of three. Unlike the
+   disjoint pairs of sweep-kernel-*, the chain's stages rotate adjacent
+   pairs, so every rotation reads the entry the previous one wrote.
+   Reported as rotations × 2N elements per second: the perfbench
+   replica's decomp.melems_s, on the same gauge as the kernel rows. *)
+let eliminate_row ~n =
+  Benchlib.Telemetry.row ~experiment:"micro" ~row:(Printf.sprintf "eliminate-%d" n)
+  @@ fun () ->
+  let u = Unitary.haar_random (Rng.create 18) n in
+  let pattern = Bose_hardware.Pattern.chain n in
+  let ws = Mat.workspace () in
+  let best = ref Float.infinity and rotations = ref 0 in
+  for _ = 1 to 3 do
+    let t0 = Unix.gettimeofday () in
+    let plan = Eliminate.decompose ~ws pattern u in
+    best := Float.min !best (Unix.gettimeofday () -. t0);
+    rotations := Plan.rotation_count plan
+  done;
+  let melems =
+    if !best > 0. then float_of_int (!rotations * 2 * n) /. !best /. 1e6
+    else Float.infinity
+  in
+  Obs.Gauge.set g_wall_s !best;
+  Obs.Gauge.set g_rot_melems melems;
+  Printf.printf "eliminate-%-17d %9.1f Melem/s (%.1f ms, %d rotations)\n" n melems
+    (1e3 *. !best) !rotations
+
 (* Dataflow-analysis throughput: full Flow.analyze reports (layering,
    liveness, feasibility BFS, budget intervals) over a synthetic
    N-mode plan with the Clements brickwork rotation pattern —
@@ -570,6 +598,7 @@ let run () =
   sweep_throughput_row ~n:128;
   sweep_throughput_row ~n:256;
   sweep_throughput_row ~n:500;
+  eliminate_row ~n:500;
   analyze_row ~n:500 ~rows:20 ~cols:25;
   batch_compile_scaling ~n:32 ~rows:6 ~cols:6 ~job_count:8;
   clements_scaling ~n:128;

@@ -309,10 +309,12 @@ let run_check plan_file unitary_file cache_dir target_name compiled_for seed tau
       (* With --tau, rebuild the §VI dropout policy for the plan (over
          the provided unitary when dimensions agree, else the plan's own
          replay) and lint it; --min-fidelity raises the bar BH0503
-         enforces above the policy's construction τ. *)
+         enforces above the policy's construction τ. A structurally
+         broken plan cannot be replayed: it gets no policy, and the plan
+         pass reports why. *)
       let policy =
         match (tau, plan) with
-        | Some tau, Some plan ->
+        | Some tau, Some plan when Lint.plan_structure plan = [] ->
           let reference =
             match unitary with
             | Some u when Mat.dims u = (plan.Plan.modes, plan.Plan.modes) -> u
@@ -413,12 +415,17 @@ let run_analyze plan_file unitary_file seed tau coupling_kind rows cols target
              load_diags := d :: !load_diags;
              None)
       in
+      (* A structurally broken plan is neither replayed nor analyzed:
+         the plan pass reports it (BH0403) and the report is null. *)
+      let plan_ok =
+        match plan with Some p -> Lint.plan_structure p = [] | None -> false
+      in
       (* Same policy reconstruction as `bosec check --tau`: the report
          and the BH11xx pass then analyze under the policy's
          deterministic hard mask — what a shot actually keeps. *)
       let policy =
         match (tau, plan) with
-        | Some tau, Some plan ->
+        | Some tau, Some plan when plan_ok ->
           let reference =
             match unitary with
             | Some u when Mat.dims u = (plan.Plan.modes, plan.Plan.modes) -> u
@@ -430,12 +437,12 @@ let run_analyze plan_file unitary_file seed tau coupling_kind rows cols target
       let backend = backend_for plan in
       let report =
         match plan with
-        | None -> None
-        | Some p ->
+        | Some p when plan_ok ->
           let kept =
             Option.map (fun pol -> Bose_dropout.Dropout.hard_kept pol p) policy
           in
           Some (Bose_flow.Flow.analyze ?kept ~backend p)
+        | Some _ | None -> None
       in
       let subject =
         {

@@ -63,20 +63,22 @@ let work_copy ?ws u =
    column kernel. At or above it, the fused engine runs the derivations
    serially on that one row (through the same sweep kernel, keeping
    serial- and bulk-phase arithmetic identical), then applies the whole
-   packed stage to every other row in one pool-chunked bulk pass. Stage
-   order is a barrier: the next stage's derivations read rows the bulk
-   pass just updated. Engine selection is by size only — never pool
-   presence — so plan bits at a given N are the same at every job
+   packed stage to the rows above it in one pool-chunked bulk pass.
+   Stage order is a barrier: the next stage's derivations read rows the
+   bulk pass just updated. Engine selection is by size only — never
+   pool presence — so plan bits at a given N are the same at every job
    count.
 
-   With [~upto_row], stage [row] rotates only rows 0..row. Stages run
-   in descending row order, so every later stage derives from a lower
-   row, and a column rotation updates each row from that row's own two
-   entries; the rows a score still reads therefore get bit-identical
-   values, and the rows below are left stale. *)
+   Stage [row] rotates only rows 0..row. Stages run in descending row
+   order, so every later stage derives from a lower row, and a column
+   rotation updates each row from that row's own two entries: the rows
+   still to be eliminated get bit-identical values. The rows below are
+   finished. Their live columns hold exact zeros, which a full sweep
+   would only turn into signed zeros, and their diagonal entry — all
+   that Λ reads — sits in a root column that no later stage rotates. *)
 let fused_threshold = Mat.blocking_threshold
 
-let walk ?pool ~upto_row sched work emit =
+let walk ?pool sched work emit =
   let n = sched.modes in
   if n >= fused_threshold then begin
     let seq = Mat.Rotseq.create ~capacity:n () in
@@ -98,26 +100,17 @@ let walk ?pool ~upto_row sched work emit =
          done;
          let len = Mat.Rotseq.length seq in
          if len > 0 then
-           (* Every bulk row but the derivation row, which the serial
-              walk already updated; a chunk straddling it splits in two. *)
-           Bose_par.Pool.bulk_iter pool ~n:(if upto_row then row else n) (fun ~lo ~hi ->
-               let sweep row_lo row_hi =
-                 if row_hi > row_lo then
-                   Mat.sweep_cols_pre work seq ~rot_lo:0 ~rot_hi:len ~row_lo ~row_hi
-               in
-               if hi <= row || lo > row then sweep lo hi
-               else begin
-                 sweep lo row;
-                 sweep (row + 1) hi
-               end))
+           Bose_par.Pool.bulk_iter pool ~n:row (fun ~lo ~hi ->
+               Mat.sweep_cols_pre work seq ~rot_lo:0 ~rot_hi:len ~row_lo:lo ~row_hi:hi))
       sched.rows
   end
   else
     Array.iteri
       (fun s row ->
-         let nrows = if upto_row then row + 1 else n in
          for k = sched.starts.(s) to sched.starts.(s + 1) - 1 do
-           let rotation = Givens.eliminate ~nrows work ~row ~m:sched.ms.(k) ~n:sched.ns.(k) in
+           let rotation =
+             Givens.eliminate ~nrows:(row + 1) work ~row ~m:sched.ms.(k) ~n:sched.ns.(k)
+           in
            Obs.Counter.incr c_eliminations;
            emit k row rotation
          done)
@@ -131,7 +124,7 @@ let run ?ws ?pool pattern u =
   check_size "Eliminate.decompose" (Pattern.size pattern) u;
   let work = work_copy ?ws u in
   let elements = ref [] in
-  walk ?pool ~upto_row:false (schedule pattern) work (fun _ row rotation ->
+  walk ?pool (schedule pattern) work (fun _ row rotation ->
       elements := { Plan.rotation; row } :: !elements);
   (work, Array.of_list (List.rev !elements))
 
@@ -168,7 +161,7 @@ let angles_into sched ~work u angles =
   if Array.length angles <> rotation_count sched then
     invalid_arg "Eliminate.angles_into: angle array does not match schedule";
   Mat.blit u work;
-  walk ~upto_row:true sched work (fun k _ rotation ->
+  walk sched work (fun k _ rotation ->
       angles.(k) <- Float.abs (Givens.theta rotation));
   record_decomposition (Array.length angles) (Array.get angles)
 

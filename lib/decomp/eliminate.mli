@@ -17,8 +17,10 @@ val decompose :
 
     At N ≥ [Mat.blocking_threshold] the elimination switches to the
     fused sweep engine: each stage derives its rotations serially on
-    the stage row, then applies the packed stage to every other row in
-    one bulk pass, chunked across [?pool] when present. Engine choice
+    the stage row, then applies the packed stage to the rows above it —
+    the rows later stages still read — in one bulk pass, chunked across
+    [?pool] when present. Rows below the stage row are finished and
+    keep their values; Λ reads only their diagonal. Engine choice
     depends only on N — the plan is bit-identical at every pool size,
     pool or no pool (docs/ARCHITECTURE.md, determinism contract).
     @raise Invalid_argument on a size mismatch or non-square input. *)
@@ -40,8 +42,8 @@ val angles_into :
     {!rotation_count}) — bit-identical to
     [Plan.angles (decompose pattern u)], with the same engine choice and
     the same telemetry, but without building the plan or Λ. [work] is
-    scratch: [u] is copied into it and each stage rotates only the rows
-    later stages still read. Allocates no matrix.
+    scratch: [u] is copied into it and eliminated by the same walk as
+    {!decompose}. Allocates no matrix.
     @raise Invalid_argument on a size mismatch. *)
 
 val decompose_baseline :

@@ -714,11 +714,12 @@ let rot_rows_t_dagger u ~m ~n ~theta ~phi =
 (* Fused multi-rotation sweeps. A Rotseq packs rotations as 8 doubles
    each — m, n, c, s, ere, eim, bound, pad — in kernel form (any dagger
    sign flip is baked in at push time by the Givens-layer helpers), so
-   the three C sweep bodies cover every caller. The column sweeps walk
-   row-outer: each row receives the rotation subsequence in order, so
-   the bits of a row never depend on how a caller partitions the row
-   range across pool domains — the determinism contract of the
-   parallel elimination engines (docs/ARCHITECTURE.md). *)
+   the three C sweeps cover every caller. The column sweeps walk
+   row-outer, four rows per pass: each row receives the rotation
+   subsequence in order, so the bits of a row never depend on how a
+   caller partitions the row range across pool domains — the
+   determinism contract of the parallel elimination engines
+   (docs/ARCHITECTURE.md). *)
 
 module Rotseq = struct
   type nonrec t = { mutable buf : plane; mutable len : int; mutable max_idx : int }

@@ -194,11 +194,20 @@ val rot_rows_t_dagger_cs :
     flip on the phase (see the [Givens.seq_push_*] helpers), so three
     sweep bodies cover every decomposition/replay caller.
 
-    Determinism contract: the column sweeps iterate row-outer and the
-    row sweep applies rotations in packed order per column, so the
-    resulting bits of any row (resp. column) depend only on the
-    rotation subsequence — never on how callers split the row/column
-    range across pool domains. The parallel elimination engines
+    The column sweeps iterate row-outer in blocks of four rows: each
+    packed rotation is loaded once per block and applied to the four
+    rows in turn, so four independent dependency chains share the
+    floating-point units even when every rotation reads the entry the
+    previous one wrote (the adjacent pairs of elimination and replay).
+    Leftover rows go one at a time through the same per-row code.
+
+    Determinism contract: per row, the column sweeps apply the
+    rotations in packed order with the same arithmetic whether the row
+    sits in a block or in the tail, and the row sweep applies rotations
+    in packed order per column, so the resulting bits of any row (resp.
+    column) depend only on the rotation subsequence — never on how
+    callers split the row/column range across pool domains, nor on
+    where the four-row blocks fall. The parallel elimination engines
     (docs/ARCHITECTURE.md, "Parallel execution") rely on exactly this.
 
     Like the per-rotation kernels, a sweep whose work — (slice width) ×

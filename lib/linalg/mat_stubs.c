@@ -178,12 +178,14 @@ CAMLprim value bose_rot_post_blk_byte(value *argv, int argn)
  * Clements ?nrows restriction); for the row sweep it is the first
  * column the rotation touches (the Clements ?first restriction).
  *
- * The column sweeps iterate row-outer: one matrix row stays resident
- * in L1 while the whole rotation subsequence [rot_lo, rot_hi) streams
- * over it in order.  Per row, the element updates are exactly the
- * per-rotation kernels above applied in sequence, so the result for a
- * given row never depends on how callers partition the row range —
- * the bit-identity contract the parallel elimination engines rely on.
+ * The column sweeps iterate row-outer, four rows at a time: a block of
+ * four matrix rows stays resident in L1 while the whole rotation
+ * subsequence [rot_lo, rot_hi) streams over it in order, each packed
+ * rotation loaded once per block.  Per row, the element updates are
+ * exactly the per-rotation kernels above applied in sequence, so the
+ * result for a given row never depends on how callers partition the
+ * row range, nor on where the four-row blocks fall — the bit-identity
+ * contract the parallel elimination engines rely on.
  * The row sweep iterates rotation-outer over a column slice; per
  * column the update order is likewise the rotation order.
  *
@@ -192,29 +194,78 @@ CAMLprim value bose_rot_post_blk_byte(value *argv, int argn)
  * story per translation unit.
  */
 
+/* One rotation's update of one row's (m, n) entries, in the pre or the
+ * post shape: the per-element bodies of rot_pre / rot_post, shared by
+ * the block loop and the tail loop of the column sweeps below. */
+static inline void sweep_row(double *rrow, double *qrow, intnat m, intnat n,
+                             double c, double s, double ere, double eim,
+                             int post)
+{
+  double mre = rrow[m], mim = qrow[m], nre = rrow[n], nim = qrow[n];
+  if (post) {
+    double wre = mre * c + nre * s;
+    double wim = mim * c + nim * s;
+    rrow[m] = wre * ere - wim * eim;
+    qrow[m] = wre * eim + wim * ere;
+    rrow[n] = nre * c - mre * s;
+    qrow[n] = nim * c - mim * s;
+  } else {
+    double wre = mre * ere - mim * eim;
+    double wim = mre * eim + mim * ere;
+    rrow[m] = wre * c - nre * s;
+    qrow[m] = wim * c - nim * s;
+    rrow[n] = wre * s + nre * c;
+    qrow[n] = wim * s + nim * c;
+  }
+}
+
+/* Rows go in blocks of four: each packed rotation is loaded once and
+ * applied to the four rows in turn.  Within one row every rotation
+ * reads what the previous one wrote (the chain and tree stages rotate
+ * adjacent pairs), so a lone row is one serial dependency chain; four
+ * independent chains keep the floating-point units busy.  The rows
+ * left over after the last block go one at a time through the same
+ * sweep_row code. */
+static inline void sweep_cols(double *restrict re, double *restrict im,
+                              const double *restrict seq, intnat ncols,
+                              intnat row_lo, intnat row_hi,
+                              intnat rot_lo, intnat rot_hi, int post)
+{
+  intnat r = row_lo;
+  for (; r + 4 <= row_hi; r += 4) {
+    double *r0 = re + r * ncols, *q0 = im + r * ncols;
+    double *r1 = r0 + ncols, *q1 = q0 + ncols;
+    double *r2 = r1 + ncols, *q2 = q1 + ncols;
+    double *r3 = r2 + ncols, *q3 = q2 + ncols;
+    double d0 = (double)r, d1 = (double)(r + 1);
+    double d2 = (double)(r + 2), d3 = (double)(r + 3);
+    const double *p = seq + 8 * rot_lo;
+    for (intnat t = rot_lo; t < rot_hi; t++, p += 8) {
+      intnat m = (intnat)p[0], n = (intnat)p[1];
+      double c = p[2], s = p[3], ere = p[4], eim = p[5], bound = p[6];
+      if (d0 < bound) sweep_row(r0, q0, m, n, c, s, ere, eim, post);
+      if (d1 < bound) sweep_row(r1, q1, m, n, c, s, ere, eim, post);
+      if (d2 < bound) sweep_row(r2, q2, m, n, c, s, ere, eim, post);
+      if (d3 < bound) sweep_row(r3, q3, m, n, c, s, ere, eim, post);
+    }
+  }
+  for (; r < row_hi; r++) {
+    double *rrow = re + r * ncols, *qrow = im + r * ncols;
+    double rd = (double)r;
+    const double *p = seq + 8 * rot_lo;
+    for (intnat t = rot_lo; t < rot_hi; t++, p += 8)
+      if (rd < p[6])
+        sweep_row(rrow, qrow, (intnat)p[0], (intnat)p[1], p[2], p[3], p[4],
+                  p[5], post);
+  }
+}
+
 static void sweep_cols_pre(double *restrict re, double *restrict im,
                            const double *restrict seq, intnat ncols,
                            intnat row_lo, intnat row_hi,
                            intnat rot_lo, intnat rot_hi)
 {
-  for (intnat r = row_lo; r < row_hi; r++) {
-    double *rrow = re + r * ncols, *qrow = im + r * ncols;
-    double rd = (double)r;
-    const double *p = seq + 8 * rot_lo;
-    for (intnat t = rot_lo; t < rot_hi; t++, p += 8) {
-      if (rd < p[6]) {
-        intnat m = (intnat)p[0], n = (intnat)p[1];
-        double c = p[2], s = p[3], ere = p[4], eim = p[5];
-        double mre = rrow[m], mim = qrow[m], nre = rrow[n], nim = qrow[n];
-        double wre = mre * ere - mim * eim;
-        double wim = mre * eim + mim * ere;
-        rrow[m] = wre * c - nre * s;
-        qrow[m] = wim * c - nim * s;
-        rrow[n] = wre * s + nre * c;
-        qrow[n] = wim * s + nim * c;
-      }
-    }
-  }
+  sweep_cols(re, im, seq, ncols, row_lo, row_hi, rot_lo, rot_hi, 0);
 }
 
 static void sweep_cols_post(double *restrict re, double *restrict im,
@@ -222,24 +273,7 @@ static void sweep_cols_post(double *restrict re, double *restrict im,
                             intnat row_lo, intnat row_hi,
                             intnat rot_lo, intnat rot_hi)
 {
-  for (intnat r = row_lo; r < row_hi; r++) {
-    double *rrow = re + r * ncols, *qrow = im + r * ncols;
-    double rd = (double)r;
-    const double *p = seq + 8 * rot_lo;
-    for (intnat t = rot_lo; t < rot_hi; t++, p += 8) {
-      if (rd < p[6]) {
-        intnat m = (intnat)p[0], n = (intnat)p[1];
-        double c = p[2], s = p[3], ere = p[4], eim = p[5];
-        double mre = rrow[m], mim = qrow[m], nre = rrow[n], nim = qrow[n];
-        double wre = mre * c + nre * s;
-        double wim = mim * c + nim * s;
-        rrow[m] = wre * ere - wim * eim;
-        qrow[m] = wre * eim + wim * ere;
-        rrow[n] = nre * c - mre * s;
-        qrow[n] = nim * c - mim * s;
-      }
-    }
-  }
+  sweep_cols(re, im, seq, ncols, row_lo, row_hi, rot_lo, rot_hi, 1);
 }
 
 static void sweep_rows_pre(double *restrict re, double *restrict im,

@@ -243,19 +243,18 @@ let check_mapping ?unitary (m : Mapping.t) =
     List.rev !diags
   end
 
-(* BH04xx — plan validity. Structural checks run first; the
-   replay-based checks (BH0401/BH0402/BH0405/BH0407) only run when the
-   plan is structurally sound and its quadruples are normalized within
-   the kernel assertion tolerance, so linting a corrupted plan never
-   trips the dev-build kernel guards. *)
-let check_plan ?pattern ?reference (t : Plan.t) =
+(* BH04xx — plan validity, in two parts. The shape checks come first:
+   mode count, Λ length, each rotation's qumode pair, row and quadruple,
+   and each Λ entry. Each finding is tagged structural when it makes the
+   plan unsafe to replay: an index out of range, a non-finite number, or
+   a quadruple denormalized past the kernel assertion tolerance. The
+   replay-based checks (BH0401/BH0402/BH0405/BH0407) only run on a plan
+   with no structural finding, so linting a corrupted plan never trips
+   the dev-build kernel guards. *)
+let plan_shape (t : Plan.t) =
   let diags = ref [] in
-  let structural_ok = ref true in
-  let emit d = diags := d :: !diags in
-  let structural d =
-    structural_ok := false;
-    emit d
-  in
+  let emit d = diags := (d, false) :: !diags in
+  let structural d = diags := (d, true) :: !diags in
   if t.Plan.modes <= 0 then
     structural
       (Diag.error ~code:"BH0403" (Printf.sprintf "plan has %d modes" t.Plan.modes));
@@ -308,7 +307,16 @@ let check_plan ?pattern ?reference (t : Plan.t) =
            (Diag.error ~code:"BH0404" ~loc:(Diag.Mode i)
               (Printf.sprintf "lambda entry has modulus %.12g, not 1" (Cx.abs lam))))
     t.Plan.lambda;
-  if !structural_ok then begin
+  List.rev !diags
+
+let plan_structure t =
+  List.filter_map (fun (d, structural) -> if structural then Some d else None) (plan_shape t)
+
+let check_plan ?pattern ?reference (t : Plan.t) =
+  let shape = plan_shape t in
+  let diags = ref (List.rev_map fst shape) in
+  let emit d = diags := d :: !diags in
+  if not (List.exists snd shape) then begin
     (* Every rotation must sit on an elimination-pattern tree edge
        (hence, post-embedding, on a physical coupling). *)
     (match pattern with
@@ -411,6 +419,16 @@ let check_policy ?min_fidelity plan (p : Dropout.policy) =
             p.Dropout.expected_fidelity threshold));
   List.rev !diags
 
+(* Structurally broken plans (out-of-range mode pairs — the plan
+   pass's BH0403) would make the dataflow analysis index out of bounds;
+   lint passes never raise, so the passes that analyze gate on this. *)
+let pairs_in_range (plan : Plan.t) =
+  plan.Plan.modes > 0
+  && Array.for_all
+       (fun { Plan.rotation = { Givens.m; n; _ }; _ } ->
+          m >= 0 && m < plan.Plan.modes && n >= 0 && n < plan.Plan.modes && m <> n)
+       plan.Plan.elements
+
 (* BH11xx — dataflow analysis over the plan ([Bose_flow.Flow]):
    schedule depth vs. the backend limit, coupling feasibility within
    the routing budget, per-mode transmission vs. the loss-budget floor,
@@ -422,17 +440,7 @@ let check_policy ?min_fidelity plan (p : Dropout.policy) =
    must not raise on them). *)
 let check_flow ?backend ?policy ?fronts plan =
   let total = Plan.rotation_count plan in
-  (* Structurally broken plans (out-of-range mode pairs — the plan
-     pass's BH0403) would make the analysis index out of bounds; lint
-     passes never raise, so gate on the same structural condition. *)
-  let structurally_sound =
-    plan.Plan.modes > 0
-    && Array.for_all
-         (fun { Plan.rotation = { Givens.m; n; _ }; _ } ->
-            m >= 0 && m < plan.Plan.modes && n >= 0 && n < plan.Plan.modes && m <> n)
-         plan.Plan.elements
-  in
-  if not structurally_sound then []
+  if not (pairs_in_range plan) then []
   else begin
   let kept =
     match (policy : Dropout.policy option) with
@@ -535,17 +543,7 @@ let check_target ?compiled_target ?plan ?policy ~has_backend name =
      (match plan with
       | Some plan when not has_backend ->
         (* Same structural gate as the flow pass: lint never raises. *)
-        let structurally_sound =
-          plan.Plan.modes > 0
-          && Array.for_all
-               (fun { Plan.rotation = { Bose_linalg.Givens.m; n; _ }; _ } ->
-                  m >= 0 && m < plan.Plan.modes && n >= 0 && n < plan.Plan.modes
-                  && m <> n)
-               plan.Plan.elements
-        in
-        (match
-           (structurally_sound, tgt.Target.max_depth plan.Plan.modes)
-         with
+        (match (pairs_in_range plan, tgt.Target.max_depth plan.Plan.modes) with
          | true, Some limit ->
            let total = Plan.rotation_count plan in
            let kept =

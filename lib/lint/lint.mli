@@ -124,6 +124,14 @@ val run : ?settings:settings -> subject -> Diag.t list
     note (code BH0001, severity Info) reports how many more fired — so
     a fully-poisoned artifact cannot flood the output. *)
 
+val plan_structure : Bose_decomp.Plan.t -> Diag.t list
+(** The structural BH0403/BH0406 errors the [plan] pass reports: a mode
+    count, Λ length, qumode pair or row out of range, a non-finite
+    number, or a quadruple denormalized past the kernel tolerance. Empty
+    iff the plan is safe to replay and analyze — callers that rebuild a
+    dropout policy or run {!Bose_flow.Flow.analyze} on an untrusted plan
+    check this first. *)
+
 val errors : Diag.t list -> int
 val warnings : Diag.t list -> int
 

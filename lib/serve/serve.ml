@@ -532,6 +532,15 @@ let do_analyze t (req : analyze_req) =
             (hit.Diskcache.plan, Some hit.Diskcache.unitary, stored_target)))
     | None, None -> assert false (* parse_analyze rejects this shape *)
   in
+  (* A structurally broken plan can be neither replayed for a policy
+     nor analyzed: refuse it with its first BH0403/BH0406 finding. *)
+  (match Lint.plan_structure plan with
+   | [] -> ()
+   | d :: rest ->
+     fail
+       (Format.asprintf "structurally broken plan: %s %a: %s%s" d.Diag.code
+          Diag.pp_location d.Diag.location d.Diag.message
+          (if rest = [] then "" else Printf.sprintf " (and %d more)" (List.length rest))));
   (* Same policy reconstruction as `bosec analyze --tau`: the hard mask
      of the deterministic policy is what a shot actually keeps. *)
   let policy =

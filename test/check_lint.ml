@@ -15,8 +15,38 @@ let read path =
   close_in ic;
   body
 
+(* [plan] with its first rotation's first qumode set to 9. *)
+let break_plan plan =
+  match String.split_on_char '\n' plan with
+  | header :: first :: rest ->
+    (match String.split_on_char ' ' first with
+     | "r" :: row :: _m :: fields ->
+       String.concat "\n" (header :: String.concat " " ("r" :: row :: "9" :: fields) :: rest)
+     | _ -> failwith "check_lint: the plan's first rotation line is malformed")
+  | _ -> failwith "check_lint: the plan has no rotation"
+
 let () =
   match Sys.argv with
+  | [| _; "--break-plan"; src; dst |] ->
+    let oc = open_out_bin dst in
+    output_string oc (break_plan (read src));
+    close_out oc
+  | args when Array.length args > 2 && args.(1) = "--broken" ->
+    (* broken_*.out: `bosec check`/`analyze` on an 8-mode plan whose
+       first rotation names qumode 9, with and without --tau. The dune
+       rules already pinned exit code 1; each must report BH0403. *)
+    Array.iter
+      (fun path ->
+         let body = read path in
+         List.iter
+           (fun needle ->
+              if not (contains ~needle body) then begin
+                Printf.eprintf "check_lint: %s lacks %s:\n%s" path needle body;
+                exit 1
+              end)
+           [ "BH0403"; "invalid qumode pair (9,"; "1 error" ])
+      (Array.sub args 2 (Array.length args - 2));
+    print_endline "check_lint: ok (a broken plan is BH0403, exit 1, with or without --tau)"
   | [| _; "--usage"; path |] ->
     (* check_usage.out: stderr of `bosec check` with no inputs. The
        dune rule already pinned exit code 2; here we pin the hint. *)
@@ -86,5 +116,6 @@ let () =
     print_endline "check_lint: ok (bosec check reports 0 errors)"
   | _ ->
     prerr_endline
-      "usage: check_lint [--usage | --analyze | --disable-typo ERR OUT | --targets] FILE";
+      "usage: check_lint [--usage | --analyze | --disable-typo ERR OUT | --targets] FILE\n\
+      \       check_lint --break-plan IN OUT | --broken FILE...";
     exit 2

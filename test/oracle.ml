@@ -2,10 +2,11 @@
    test_oracle.ml: the elimination schedule builder, the decomposition,
    the mapping polish loop, the dropout policy search and the
    xoshiro256** generator as they were before the per-trial overhead
-   was taken out of polish and dropout, and the Printf/Scanf text
-   codecs of Plan and Unitary. They are slow on purpose — full
-   decompositions per trial, polymorphic sorts, a boxed RNG state, a
-   format interpreter per line — and the library's versions must
+   was taken out of polish and dropout, the Printf/Scanf text codecs
+   of Plan and Unitary, and the per-byte JSON string printer. They are
+   slow on purpose — full decompositions per trial, full-matrix stage
+   sweeps, polymorphic sorts, a boxed RNG state, a format interpreter
+   per line, a closure call per byte — and the library's versions must
    reproduce their every bit. *)
 
 module Cx = Bose_linalg.Cx
@@ -148,7 +149,8 @@ let full_schedule t =
 
 (* Decomposition with a fresh work matrix per call, the rotations kept
    in a list: per-call column kernels below Mat.blocking_threshold, the
-   fused stage sweeps (serially) at or above it. *)
+   fused stage sweeps (serially) at or above it. Every stage rotates
+   every row, the finished rows below the stage row included. *)
 let decompose pattern u =
   let n = Pattern.size pattern in
   let work = Mat.copy u in
@@ -407,3 +409,25 @@ let plan_of_string s =
             with Scanf.Scan_failure _ | Failure _ | End_of_file -> fail "bad lambda line")
       in
       { Plan.modes; elements; lambda })
+
+(* ---- JSON: one closure call and one Buffer.add_char per byte ---- *)
+
+let json_string s =
+  let buf = Buffer.create (String.length s + 2) in
+  Buffer.add_char buf '"';
+  String.iter
+    (fun c ->
+       match c with
+       | '"' -> Buffer.add_string buf "\\\""
+       | '\\' -> Buffer.add_string buf "\\\\"
+       | '\n' -> Buffer.add_string buf "\\n"
+       | '\r' -> Buffer.add_string buf "\\r"
+       | '\t' -> Buffer.add_string buf "\\t"
+       | '\b' -> Buffer.add_string buf "\\b"
+       | '\012' -> Buffer.add_string buf "\\f"
+       | c when Char.code c < 0x20 ->
+         Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+       | c -> Buffer.add_char buf c)
+    s;
+  Buffer.add_char buf '"';
+  Buffer.contents buf

@@ -742,26 +742,51 @@ let test_sweep_kernels_match_reference () =
 (* The determinism contract of the parallel engines: splitting a sweep's
    row (or column) range at any point yields bitwise-identical planes,
    because each row sees the same rotation subsequence in the same
-   order. Pinned at tol 0. *)
+   order. Pinned at tol 0. The column sweeps go four rows at a time, so
+   their cuts fall at every offset mod 4, each row is also swept alone,
+   and besides random pairs they get a chain of adjacent pairs — the
+   elimination and replay shape, each rotation reading the entry the
+   previous one wrote — whose staircase bounds end inside 4-row blocks. *)
 let test_sweep_split_bit_identity () =
   let rng = Rng.create 64 in
   List.iter
     (fun dim ->
        let u = random_mat rng dim dim in
        let count = min dim 24 in
-       let rots = random_sweep_rots rng ~count ~dim ~max_bound:dim in
-       let seq = pack_rots rots in
-       let whole = Mat.copy u in
-       Mat.sweep_cols_pre whole seq ~rot_lo:0 ~rot_hi:count ~row_lo:0 ~row_hi:dim;
+       let random = random_sweep_rots rng ~count ~dim ~max_bound:dim in
+       let chain =
+         Array.init (dim - 1) (fun k ->
+             { (random.(k mod count)) with sm = k; sn = k + 1; sbound = dim - k })
+       in
        List.iter
-         (fun cut ->
-            let split = Mat.copy u in
-            Mat.sweep_cols_pre split seq ~rot_lo:0 ~rot_hi:count ~row_lo:0 ~row_hi:cut;
-            Mat.sweep_cols_pre split seq ~rot_lo:0 ~rot_hi:count ~row_lo:cut ~row_hi:dim;
-            Alcotest.(check bool)
-              (Printf.sprintf "cols split at %d of %d bit-identical" cut dim)
-              true (Mat.equal ~tol:0. split whole))
-         [ 1; dim / 3; dim / 2; dim - 1 ];
+         (fun (shape, rots) ->
+            let seq = pack_rots rots and rot_hi = Array.length rots in
+            List.iter
+              (fun (name, sweep) ->
+                 let label what = Printf.sprintf "%s %s %s, N=%d" name shape what dim in
+                 let whole = Mat.copy u in
+                 sweep whole seq ~rot_lo:0 ~rot_hi ~row_lo:0 ~row_hi:dim;
+                 List.iter
+                   (fun cut ->
+                      let split = Mat.copy u in
+                      sweep split seq ~rot_lo:0 ~rot_hi ~row_lo:0 ~row_hi:cut;
+                      sweep split seq ~rot_lo:0 ~rot_hi ~row_lo:cut ~row_hi:dim;
+                      Alcotest.(check bool)
+                        (label (Printf.sprintf "split at %d bit-identical" cut))
+                        true (Mat.equal ~tol:0. split whole))
+                   (List.filter (fun cut -> cut < dim)
+                      [ 1; 2; 3; 4; 5; dim / 3; dim / 2; dim - 1 ]);
+                 let rows = Mat.copy u in
+                 for r = 0 to dim - 1 do
+                   sweep rows seq ~rot_lo:0 ~rot_hi ~row_lo:r ~row_hi:(r + 1)
+                 done;
+                 Alcotest.(check bool) (label "1-row slices bit-identical") true
+                   (Mat.equal ~tol:0. rows whole))
+              [
+                ("sweep_cols_pre", Mat.sweep_cols_pre);
+                ("sweep_cols_post", Mat.sweep_cols_post);
+              ])
+         [ ("random", random); ("chain", chain) ];
        let rots = random_sweep_rots rng ~count ~dim ~max_bound:(dim - 1) in
        let seq = pack_rots rots in
        let whole = Mat.copy u in
@@ -775,7 +800,7 @@ let test_sweep_split_bit_identity () =
               (Printf.sprintf "rows split at %d of %d bit-identical" cut dim)
               true (Mat.equal ~tol:0. split whole))
          [ 1; dim / 3; dim - 1 ])
-    [ 5; 64; Mat.blocking_threshold + 22 ]
+    [ 3; 5; 64; Mat.blocking_threshold + 22 ]
 
 (* A fused sweep must agree with the per-rotation _cs kernels applied in
    the same order. Tolerance, not bitwise: the fused and per-call C

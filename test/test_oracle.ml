@@ -5,7 +5,7 @@
    a change in a derived angle, a sorted sum, a tie order or a draw
    shows up here as a differing bit. The Plan/Unitary text codecs are
    held to the Printf/Scanf ones the same way, byte for byte out and
-   bit for bit in. *)
+   bit for bit in, and the JSON printer to the per-byte one. *)
 
 module Rng = Bose_util.Rng
 module Cx = Bose_linalg.Cx
@@ -123,6 +123,25 @@ let test_fused () =
   check_program ~optimize:false ~label:"haar128" ~rows:12 ~cols:11 ~trials:20 ~tau:0.999
     ~seed:5 ~dropout:([ 1; 20 ], 4)
     (Unitary.haar_random (Rng.create 128) 128)
+
+(* The fused engine sweeps only the rows above each stage row; the
+   reference sweeps every row. Chains at N = 129 and 333 (the chain
+   stages rotate adjacent pairs) and one lattice pattern: the plan text
+   carries every rotation and Λ as exact hex floats, so equal text is
+   equal bits. *)
+let test_row_skip () =
+  List.iter
+    (fun (label, pattern) ->
+       let n = Pattern.size pattern in
+       let u = Unitary.haar_random (Rng.create (300 + n)) n in
+       Alcotest.(check string) (label ^ ": plan")
+         (Plan.to_string (Oracle.decompose pattern u))
+         (Plan.to_string (Eliminate.decompose pattern u)))
+    [
+      ("chain129", Pattern.chain 129);
+      ("chain333", Pattern.chain 333);
+      ("lattice144", Embedding.for_program (Lattice.create ~rows:12 ~cols:12) 144);
+    ]
 
 let test_chain_500 () =
   let chain = Pattern.chain 500 in
@@ -396,6 +415,20 @@ let prop_text_mutations =
         List.for_all unitary_ok (mutants (Unitary.to_string (random_matrix st)))
         && List.for_all plan_ok (mutants (Plan.to_string (random_plan st))))
 
+(* Random strings over all 256 byte values, as a string body and as an
+   object key: byte-identical to the per-byte printer. *)
+let prop_json_printer =
+  QCheck.Test.make ~name:"JSON strings print byte-identical to the per-byte printer"
+    ~count:500
+    QCheck.(pair (int_range 0 300) int)
+    (fun (len, seed) ->
+       let st = Random.State.make [| seed |] in
+       let s = String.init len (fun _ -> Char.chr (Random.State.int st 256)) in
+       let quoted = Oracle.json_string s in
+       Bose_util.Json.to_string (Bose_util.Json.Str s) = quoted
+       && Bose_util.Json.to_string (Bose_util.Json.Obj [ (s, Bose_util.Json.Null) ])
+          = "{" ^ quoted ^ ":null}")
+
 let () =
   Alcotest.run "bose_oracle"
     [
@@ -405,12 +438,13 @@ let () =
           Alcotest.test_case "DS/MC/GS/VS 24" `Quick test_applications;
           Alcotest.test_case "fused engine 128" `Quick test_fused;
           Alcotest.test_case "500-chain schedule" `Quick test_chain_500;
+          Alcotest.test_case "row skip: chain 129/333, lattice 144" `Quick test_row_skip;
         ] );
       ( "properties",
         List.map
           (fun t -> QCheck_alcotest.to_alcotest t)
           [
             prop_schedule; prop_masks; prop_tied_masks; prop_rng; prop_text_printers;
-            prop_text_roundtrip; prop_text_mutations;
+            prop_text_roundtrip; prop_text_mutations; prop_json_printer;
           ] );
     ]

@@ -335,6 +335,38 @@ let test_protocol_basics () =
     ];
   Alcotest.(check bool) "alive after oversized headers" true
     (ok_reply (Serve.handle_line t {|{"id":4,"op":"ping"}|}));
+  (* An 8-mode plan whose first rotation names qumode 9 is refused with
+     its BH0403 finding, with or without a policy τ: it is neither
+     replayed for a policy nor analyzed. *)
+  let plan, _ = sample_artifacts 3 8 in
+  let first = plan.Plan.elements.(0) in
+  plan.Plan.elements.(0) <-
+    { first with Plan.rotation = { first.Plan.rotation with Bose_linalg.Givens.m = 9 } };
+  List.iter
+    (fun tau ->
+       let reply =
+         Serve.handle_line t
+           (Json.to_string
+              (Json.Obj
+                 [
+                   ("op", Json.Str "analyze");
+                   ( "params",
+                     Json.Obj (("plan", Json.Str (Plan.to_string plan)) :: tau) );
+                 ]))
+       in
+       let label = if tau = [] then "broken plan" else "broken plan, tau" in
+       Alcotest.(check (option string)) (label ^ ": code") (Some "bad-request")
+         (get_str [ "error"; "code" ] reply);
+       let message = Option.value ~default:"" (get_str [ "error"; "message" ] reply) in
+       let prefix =
+         "structurally broken plan: BH0403 plan step 0: rotation addresses invalid \
+          qumode pair (9,"
+       in
+       Alcotest.(check bool) (label ^ ": " ^ message) true
+         (String.starts_with ~prefix message))
+    [ []; [ ("tau", Json.Num 0.99) ] ];
+  Alcotest.(check bool) "alive after a broken plan" true
+    (ok_reply (Serve.handle_line t {|{"id":5,"op":"ping"}|}));
   Alcotest.(check bool) "stats" true
     (ok_reply (Serve.handle_line t {|{"op":"stats"}|}));
   Alcotest.(check bool) "sample" true
