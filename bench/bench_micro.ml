@@ -1,6 +1,7 @@
 (* Bechamel micro-benchmarks of the compiler kernels. *)
 
 module Rng = Bose_util.Rng
+module Json = Bose_util.Json
 module Cx = Bose_linalg.Cx
 module Mat = Bose_linalg.Mat
 module Unitary = Bose_linalg.Unitary
@@ -105,29 +106,33 @@ let benchmarks () =
         ignore (Clements.decompose ~ws u32)));
   ]
 
-(* Warm-cache recompile speedup: compile a job cold through a shared
-   artifact cache, then recompile it several times warm — every pass
-   replays its recorded artifact — and report cold/warm wall-clock.
-   Each row runs inside Telemetry.row, so the cache_hits/cache_misses
-   gauges land in BENCH_TELEMETRY.json next to the timings. *)
+(* Warm-request speedup: send one compile request to a no-store
+   [Serve.t] cold, then several times warm under other seeds — each a
+   memory-tier hit that parses the unitary text, keys the request and
+   renders the stored answer — and report cold/warm wall-clock. *)
 let cache_recompile_row ~n ~rows ~cols =
   Benchlib.Telemetry.row ~experiment:"micro" ~row:(Printf.sprintf "compile-cache-%d" n)
   @@ fun () ->
-  let device = Lattice.create ~rows ~cols in
-  let u = Unitary.haar_random (Rng.create 6) n in
-  let cache = Bosehedral.Pipeline.Cache.create () in
-  let compile () =
-    ignore
-      (Bosehedral.Compiler.compile ~tau:0.99 ~cache ~rng:(Rng.create 7) ~device
-         ~config:Bosehedral.Config.Full_opt u)
+  let text = Unitary.to_string (Unitary.haar_random (Rng.create 6) n) in
+  let state = Bose_serve.Serve.create () in
+  let compile ~seed ~expect =
+    let reply =
+      Bose_serve.Serve.handle_line state
+        (Printf.sprintf
+           {|{"op":"compile","params":{"unitary":%s,"rows":%d,"cols":%d,"tau":0.99,"seed":%d}}|}
+           (Json.to_string (Json.Str text)) rows cols seed)
+    in
+    let cached = Result.to_option (Json.parse reply) |> Fun.flip Option.bind (Json.mem "result") in
+    if Option.bind cached (Json.mem "cached") <> Some (Json.Str expect) then
+      failwith ("compile-cache: unexpected reply " ^ reply)
   in
   let t0 = Unix.gettimeofday () in
-  compile ();
+  compile ~seed:7 ~expect:"none";
   let cold_s = Unix.gettimeofday () -. t0 in
   let warm_runs = 5 in
   let t1 = Unix.gettimeofday () in
-  for _ = 1 to warm_runs do
-    compile ()
+  for k = 1 to warm_runs do
+    compile ~seed:(7 + k) ~expect:"mem"
   done;
   let warm_s = (Unix.gettimeofday () -. t1) /. float_of_int warm_runs in
   let speedup = if warm_s > 0. then cold_s /. warm_s else Float.infinity in
@@ -135,7 +140,8 @@ let cache_recompile_row ~n ~rows ~cols =
   Obs.Gauge.set g_warm_us (1e6 *. warm_s);
   Obs.Gauge.set g_warm_speedup speedup;
   Printf.printf "compile-cache-%-14d cold %8.1f us, warm %8.1f us, %8.2fx speedup\n" n
-    (1e6 *. cold_s) (1e6 *. warm_s) speedup
+    (1e6 *. cold_s) (1e6 *. warm_s) speedup;
+  Bose_serve.Serve.shutdown state
 
 (* Sustained serve throughput: drive the `bosec serve` request engine
    in-process (no socket — this measures the service, not the kernel's

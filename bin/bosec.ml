@@ -100,7 +100,7 @@ let print_pipeline () =
    as one batch, sharded over N domains. Per-job RNG streams are keyed
    by job content, so the summaries are identical at every N. *)
 let run_batch_compile ~rows ~cols ~modes ~seed ~config ~tau ~graph_p ~effort ~jobs ~batch
-    ~cache_stats ~metrics_out ~trace =
+    ~metrics_out ~trace =
   let device = Lattice.create ~rows ~cols in
   let modes = match modes with Some n -> n | None -> Lattice.size device in
   if modes > Lattice.size device then begin
@@ -111,21 +111,16 @@ let run_batch_compile ~rows ~cols ~modes ~seed ~config ~tau ~graph_p ~effort ~jo
     List.init batch (fun k ->
         (make_unitary (Rng.create (seed + 1 + k)) ~modes ~graph_p, config))
   in
-  let cache = if cache_stats then Some (Pipeline.Cache.create ()) else None in
   with_obs ~metrics_out ~trace @@ fun () ->
   let results =
-    Compiler.compile_batch ~effort ~tau ?cache ~jobs ~rng:(Rng.create seed) ~device
-      job_list
+    Compiler.compile_batch ~effort ~tau ~jobs ~rng:(Rng.create seed) ~device job_list
   in
   List.iteri
     (fun i c -> Format.printf "[job %d] %a@." i Compiler.pp_summary c)
-    results;
-  (match cache with
-   | None -> ()
-   | Some c -> Format.printf "cache: %a@." Pipeline.Cache.pp c)
+    results
 
 let run_compile rows cols modes target seed config tau graph_p effort jobs batch verbose
-    plan_out unitary_out list_passes disable_passes cache_stats metrics_out trace =
+    plan_out unitary_out list_passes disable_passes metrics_out trace =
   if list_passes then begin
     print_pipeline ();
     exit 0
@@ -144,7 +139,7 @@ let run_compile rows cols modes target seed config tau graph_p effort jobs batch
   end;
   if batch > 0 then begin
     run_batch_compile ~rows ~cols ~modes ~seed ~config ~tau ~graph_p ~effort ~jobs ~batch
-      ~cache_stats ~metrics_out ~trace;
+      ~metrics_out ~trace;
     exit 0
   end;
   List.iter
@@ -175,7 +170,6 @@ let run_compile rows cols modes target seed config tau graph_p effort jobs batch
     Printf.eprintf "error: %d qumodes do not fit on a %dx%d device\n" modes rows cols;
     exit 1
   end;
-  let cache = if cache_stats then Some (Pipeline.Cache.create ()) else None in
   with_obs ~metrics_out ~trace @@ fun () ->
   let u = make_unitary rng ~modes ~graph_p in
   (* --jobs on a single compile: intra-compile parallelism. The pool
@@ -188,18 +182,15 @@ let run_compile rows cols modes target seed config tau graph_p effort jobs batch
     with_pool (fun pool ->
         match target with
         | Some target ->
-          Compiler.compile_for_target ~effort ~tau ?cache ~disabled_passes:disable_passes
-            ?pool ~rng ~target ~config u
+          Compiler.compile_for_target ~effort ~tau ~disabled_passes:disable_passes ?pool
+            ~rng ~target ~config u
         | None ->
-          Compiler.compile ~effort ~tau ?cache ~disabled_passes:disable_passes ?pool ~rng
-            ~device ~config u)
+          Compiler.compile ~effort ~tau ~disabled_passes:disable_passes ?pool ~rng ~device
+            ~config u)
   in
   (match target with
    | Some (t : Target.t) -> Format.printf "target: %s@." t.Target.name
    | None -> ());
-  (match cache with
-   | None -> ()
-   | Some c -> Format.printf "cache: %a@." Pipeline.Cache.pp c);
   Format.printf "%a@." Compiler.pp_summary compiled;
   Format.printf "small rotations (θ < 0.1): %d of %d@."
     (Compiler.small_angles compiled ~threshold:0.1)
@@ -763,13 +754,6 @@ let disable_passes =
                  neutral artifact (e.g. $(b,dropout) compiles with no dropout policy). \
                  Mandatory passes cannot be disabled.")
 
-let cache_stats =
-  Arg.(value
-       & flag
-       & info [ "cache-stats" ]
-           ~doc:"Compile through a fresh artifact cache and print its hit/miss/entry \
-                 statistics.")
-
 let metrics_out =
   Arg.(value
        & opt (some string) None
@@ -812,14 +796,12 @@ let compile_target =
 let compile_term =
   Term.(
     const (fun rows cols modes target seed config tau graph_p effort jobs batch verbose
-             plan_out unitary_out list_passes disable_passes cache_stats metrics_out
-             trace ->
+             plan_out unitary_out list_passes disable_passes metrics_out trace ->
         run_compile rows cols modes target seed config tau graph_p effort jobs batch
-          verbose plan_out unitary_out list_passes disable_passes cache_stats
-          metrics_out trace)
+          verbose plan_out unitary_out list_passes disable_passes metrics_out trace)
     $ rows $ cols $ modes $ compile_target $ seed $ config $ tau $ graph_p $ effort
     $ jobs $ batch $ verbose $ plan_out $ unitary_out $ list_compile_passes
-    $ disable_passes $ cache_stats $ metrics_out $ trace)
+    $ disable_passes $ metrics_out $ trace)
 
 let compile_cmd =
   Cmd.v
@@ -1080,15 +1062,17 @@ let serve_cmd =
          & opt (some string) None
          & info [ "cache-dir" ] ~docv:"DIR"
              ~doc:"Persist compile artifacts to a disk cache under $(docv) \
-                   (created if missing); artifacts survive restarts and disk hits \
-                   are bit-identical to the original compile.")
+                   (created if missing; one server per directory); artifacts \
+                   survive restarts and disk hits are bit-identical to the original \
+                   compile. Without it, answers are kept in memory.")
   in
   let max_cache_mb =
     Arg.(value
          & opt int 64
          & info [ "max-cache-mb" ] ~docv:"MB"
-             ~doc:"Disk-cache size bound; least-recently-used entries are evicted \
-                   past it.")
+             ~doc:"Cache size bound: object bytes of the disk cache, or plan and \
+                   unitary text bytes of the in-memory answers without \
+                   $(b,--cache-dir); least-recently-used entries are evicted past it.")
   in
   Cmd.v
     (Cmd.info "serve"

@@ -22,8 +22,6 @@ let g_bytes_allocated = Obs.Gauge.make "compile.bytes_allocated"
 let g_mats_allocated = Obs.Gauge.make "compile.mats_allocated"
 let g_ws_hits = Obs.Gauge.make "compile.ws_hits"
 let g_ws_misses = Obs.Gauge.make "compile.ws_misses"
-let g_cache_hits = Obs.Gauge.make "compile.cache_hits"
-let g_cache_misses = Obs.Gauge.make "compile.cache_misses"
 let g_bytes_offheap = Obs.Gauge.make "mat.bytes_offheap"
 let g_lock_releases = Obs.Gauge.make "mat.lock_releases"
 
@@ -45,11 +43,10 @@ type t = {
 }
 
 (* The driver: build a compile context, execute the registered pipeline
-   over it (optionally through an artifact cache), and assemble the
-   result from the context's artifact cells. The per-stage work lives
-   in Pass.{embed,map,decompose,dropout}; this function only sequences
-   and observes. *)
-let drive ?cache ?(disabled = []) ?target ?pool ~effort ~tau ~rng ~device ~config ~source u =
+   over it, and assemble the result from the context's artifact cells.
+   The per-stage work lives in Pass.{embed,map,decompose,dropout}; this
+   function only sequences and observes. *)
+let drive ?(disabled = []) ?target ?pool ~effort ~tau ~rng ~device ~config ~source u =
   let n = Mat.rows u in
   Obs.Counter.incr c_compiles;
   Obs.Gauge.observe_max g_modes (float_of_int n);
@@ -67,7 +64,7 @@ let drive ?cache ?(disabled = []) ?target ?pool ~effort ~tau ~rng ~device ~confi
       ?target:(Option.map (fun (t : Target.t) -> t.Target.name) target)
       ?pool ~rng ~device ~config ~source ~ws u
   in
-  let trace = Pipeline.run ?cache ~disabled Pipeline.default ctx in
+  let trace = Pipeline.run ~disabled Pipeline.default ctx in
   let pattern = Pass.pattern_exn ctx in
   let mapping = Pass.mapping_exn ctx in
   let plan = Pass.plan_exn ctx in
@@ -79,8 +76,6 @@ let drive ?cache ?(disabled = []) ?target ?pool ~effort ~tau ~rng ~device ~confi
   Obs.Gauge.set g_mats_allocated (float_of_int (Mat.allocations () - mats0));
   Obs.Gauge.set g_ws_hits (float_of_int (Mat.workspace_hits ws));
   Obs.Gauge.set g_ws_misses (float_of_int (Mat.workspace_misses ws));
-  Obs.Gauge.set g_cache_hits (float_of_int (Pipeline.hits trace));
-  Obs.Gauge.set g_cache_misses (float_of_int (Pipeline.misses trace));
   Obs.Gauge.set g_bytes_offheap (float_of_int (Mat.bytes_offheap () - offheap0));
   Obs.Gauge.set g_lock_releases (float_of_int (Mat.lock_releases () - locks0));
   let stage = Pipeline.elapsed trace in
@@ -103,37 +98,37 @@ let drive ?cache ?(disabled = []) ?target ?pool ~effort ~tau ~rng ~device ~confi
     trace = Pipeline.lint_trace ~disabled Pipeline.default trace;
   }
 
-let compile ?(effort = Standard) ?(tau = 0.999) ?cache ?disabled_passes ?pool ~rng ~device
-    ~config u =
+let compile ?(effort = Standard) ?(tau = 0.999) ?disabled_passes ?pool ~rng ~device ~config
+    u =
   let n = Mat.rows u in
   if Mat.cols u <> n then invalid_arg "Compiler.compile: unitary must be square";
   if n > Lattice.size device then
     invalid_arg "Compiler.compile: program larger than device";
   Obs.Span.with_ "compile" (fun () ->
-      drive ?cache ?disabled:disabled_passes ?pool ~effort ~tau ~rng ~device ~config
+      drive ?disabled:disabled_passes ?pool ~effort ~tau ~rng ~device ~config
         ~source:Pass.Device u)
 
-let compile_with_pattern ?(effort = Standard) ?(tau = 0.999) ?cache ?disabled_passes ?pool
-    ~rng ~pattern ~config u =
+let compile_with_pattern ?(effort = Standard) ?(tau = 0.999) ?disabled_passes ?pool ~rng
+    ~pattern ~config u =
   let n = Mat.rows u in
   if Mat.cols u <> n then invalid_arg "Compiler.compile_with_pattern: unitary must be square";
   if n <> Pattern.size pattern then
     invalid_arg "Compiler.compile_with_pattern: pattern size mismatch";
   let device = Lattice.create ~rows:1 ~cols:n in
   Obs.Span.with_ "compile" (fun () ->
-      drive ?cache ?disabled:disabled_passes ?pool ~effort ~tau ~rng ~device ~config
+      drive ?disabled:disabled_passes ?pool ~effort ~tau ~rng ~device ~config
         ~source:(Pass.Explicit pattern) u)
 
 (* Target-directed compilation. Grid targets run through the same
    [source = Device] path as [compile] with the target-sized lattice —
    identical pass bodies and RNG draw order, so a zigzag compile is
    bit-identical to [compile ~device:(square-ish lattice)]; only the
-   fingerprints (cache keys) carry the target identity. Graph targets
+   result's [target] field carries the target identity. Graph targets
    have no lattice, so the target's derived elimination pattern goes in
    explicitly, with a placeholder 1×n device (the same convention as
    [compile_with_pattern]). *)
-let compile_for_target ?(effort = Standard) ?(tau = 0.999) ?cache ?disabled_passes ?pool
-    ~rng ~target ~config u =
+let compile_for_target ?(effort = Standard) ?(tau = 0.999) ?disabled_passes ?pool ~rng
+    ~target ~config u =
   let n = Mat.rows u in
   if Mat.cols u <> n then invalid_arg "Compiler.compile_for_target: unitary must be square";
   let device, source =
@@ -145,66 +140,45 @@ let compile_for_target ?(effort = Standard) ?(tau = 0.999) ?cache ?disabled_pass
     | None -> (Lattice.create ~rows:1 ~cols:n, Pass.Explicit (Target.pattern target n))
   in
   Obs.Span.with_ "compile" (fun () ->
-      drive ?cache ?disabled:disabled_passes ~target ?pool ~effort ~tau ~rng ~device
-        ~config ~source u)
+      drive ?disabled:disabled_passes ~target ?pool ~effort ~tau ~rng ~device ~config
+        ~source u)
 
-(* The same fields the passes fingerprint, folded once per job. Jobs
-   with identical inputs get identical streams, so a cache replay of a
-   duplicate job is indistinguishable from recompiling it. *)
+(* The job's content, folded once per job. Jobs with identical inputs
+   get identical streams, so duplicate jobs compile identically. *)
 let job_fingerprint ~effort ~tau ~config u =
   Pass.Fingerprint.(
     mat (string (float (string seed (Config.name config)) tau) (Pass.effort_name effort)) u)
 
-let compile_batch ?(effort = Standard) ?(tau = 0.999) ?cache ?(jobs = 1) ~rng ~device
-    job_list =
+let compile_batch ?(effort = Standard) ?(tau = 0.999) ?(jobs = 1) ~rng ~device job_list =
   if jobs < 1 then invalid_arg "Compiler.compile_batch: jobs must be >= 1";
   let n = List.length job_list in
   (* Content-keyed per-job RNG streams: one base draw from the caller's
      rng, XORed with each job's input fingerprint. Every job's stream
      is then a function of the batch seed and the job's own inputs —
-     independent of job order, sharding, and cache replays — which is
-     what makes [~jobs:n] output bit-identical to sequential. *)
+     independent of job order and sharding — which is what makes
+     [~jobs:n] output bit-identical to sequential. *)
   let base = Rng.bits64 rng in
-  let stream_for (u, config) =
-    Rng.of_key (Int64.logxor base (job_fingerprint ~effort ~tau ~config u))
-  in
-  let compile_job cache ((u, config) as job) =
+  let compile_job (u, config) =
     Obs.Counter.incr c_batch_jobs;
-    compile ~effort ~tau ~cache ~rng:(stream_for job) ~device ~config u
+    let rng = Rng.of_key (Int64.logxor base (job_fingerprint ~effort ~tau ~config u)) in
+    compile ~effort ~tau ~rng ~device ~config u
   in
   let domains = min jobs n in
-  if domains <= 1 then begin
-    (* Sequential: one shared cache across the whole batch, so jobs
-       with identical fingerprints replay each other's patterns,
-       mappings, plans and policies instead of recompiling them. *)
-    let cache = match cache with Some c -> c | None -> Pipeline.Cache.create () in
-    Obs.Span.with_ "compile.batch" (fun () -> List.map (compile_job cache) job_list)
-  end
-  else
-    Obs.Span.with_ "compile.batch" (fun () ->
+  Obs.Span.with_ "compile.batch" (fun () ->
+      if domains <= 1 then List.map compile_job job_list
+      else begin
         let arr = Array.of_list job_list in
         let out = Array.make n None in
-        (* Each chunk gets its own cache (shared mutable caches would
-           race across domains) and its own [Mat.workspace] via the
-           per-compile workspace in [drive]. Chunk boundaries depend
-           only on [domains] and [n], never on scheduling. *)
-        let chunk_stats = Array.make domains None in
+        (* Each compile gets its own [Mat.workspace] (see [drive]).
+           Chunk boundaries depend only on [domains] and [n], never on
+           scheduling. *)
         Pool.with_pool ~domains (fun pool ->
-            Pool.chunked_iter pool ~chunks:domains ~n (fun ~chunk ~lo ~hi ->
-                let local = Pipeline.Cache.create () in
+            Pool.chunked_iter pool ~chunks:domains ~n (fun ~chunk:_ ~lo ~hi ->
                 for i = lo to hi - 1 do
-                  out.(i) <- Some (compile_job local arr.(i))
-                done;
-                chunk_stats.(chunk) <- Some (Pipeline.Cache.stats local)));
-        (* Surface domain-local hit rates through the caller's cache. *)
-        (match cache with
-         | None -> ()
-         | Some c ->
-           Array.iter
-             (function None -> () | Some s -> Pipeline.Cache.absorb c s)
-             chunk_stats);
-        Array.to_list out
-        |> List.map (function Some t -> t | None -> assert false))
+                  out.(i) <- Some (compile_job arr.(i))
+                done));
+        Array.to_list out |> List.map (function Some t -> t | None -> assert false)
+      end)
 
 let shot_mask rng t =
   match t.policy with

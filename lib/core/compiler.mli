@@ -37,17 +37,9 @@
     passes produce identical plans, policies, and shot circuits
     (pinned by [test/test_obs.ml]).
 
-    {2 Artifact cache}
-
-    Pass [?cache] (a {!Pipeline.Cache.t}) to reuse recorded artifacts
-    across compiles: each pass's inputs are content-fingerprinted
-    ({!Pass.Fingerprint}), and a hit replays the recorded artifact —
-    deep-copied, bit-identical — instead of running the pass. Hit and
-    miss counts surface as the [compile.cache_hits] /
-    [compile.cache_misses] gauges. Caching is opt-in: without [?cache]
-    every compile runs cold (a hit skips the pass's RNG draws, so a
-    shared default cache would perturb callers that stream the same RNG
-    through subsequent sampling). *)
+    Every call runs all four passes: the compiler keeps no state
+    between calls. Reuse is per request, in [bosec serve]'s memory
+    tier and disk store. *)
 
 type effort = Pass.effort = Fast | Standard
 (** [Fast] trims the mapping-K candidates and dropout search for large
@@ -66,9 +58,7 @@ type t = {
   target : Bose_hardware.Target.t option;
       (** The hardware target compiled for ({!compile_for_target});
           [None] for the device/pattern entry points. Drives the
-          default {!analyze} backend and is folded into pass
-          fingerprints, so artifact caches discriminate across
-          targets. *)
+          default {!analyze} backend and the lint target checks. *)
   pattern : Bose_hardware.Pattern.t;
   mapping : Bose_mapping.Mapping.t;
   plan : Bose_decomp.Plan.t;  (** Decomposition of [mapping.permuted]. *)
@@ -76,14 +66,13 @@ type t = {
   timings : timings;
   trace : Bose_lint.Lint.pipeline_trace;
       (** Pass-manager execution record (registered passes with
-          dependencies, executed passes with cache-hit flags), audited
-          by the lint engine's [pipeline] checker (BH09xx). *)
+          dependencies, executed pass names), audited by the lint
+          engine's [pipeline] checker (BH09xx). *)
 }
 
 val compile :
   ?effort:effort ->
   ?tau:float ->
-  ?cache:Pipeline.Cache.t ->
   ?disabled_passes:string list ->
   ?pool:Bose_par.Pool.t ->
   rng:Bose_util.Rng.t ->
@@ -93,17 +82,15 @@ val compile :
   t
 (** [compile ~rng ~device ~config u]. [tau] is the unitary-approximation
     accuracy threshold (default 0.999). The unitary's dimension must not
-    exceed the device size. [?cache] reuses recorded artifacts across
-    compiles (see the cache section above); [?disabled_passes] skips
-    named skippable passes, storing their neutral artifact instead
-    ([bosec compile --disable-pass]).
+    exceed the device size. [?disabled_passes] skips named skippable
+    passes, storing their neutral artifact instead ([bosec compile
+    --disable-pass]).
 
     [?pool] enables intra-compile parallelism ([bosec compile --jobs]):
     at N ≥ [Mat.blocking_threshold] the decompose pass's fused sweep
     engine chunks its bulk rotation passes across the pool. Scheduling
     only — compiled artifacts are bit-identical at every pool size
-    (pinned by test/test_par.ml), and pass fingerprints ignore the
-    pool, so artifact caches stay valid across job counts. Do not pass
+    (pinned by test/test_par.ml). Do not pass
     a pool whose domains are already inside a pool task (nested
     parallelism is rejected by [Bose_par.Pool.run]).
     @raise Invalid_argument on size mismatch, non-square input, or an
@@ -112,7 +99,6 @@ val compile :
 val compile_with_pattern :
   ?effort:effort ->
   ?tau:float ->
-  ?cache:Pipeline.Cache.t ->
   ?disabled_passes:string list ->
   ?pool:Bose_par.Pool.t ->
   rng:Bose_util.Rng.t ->
@@ -130,7 +116,6 @@ val compile_with_pattern :
 val compile_for_target :
   ?effort:effort ->
   ?tau:float ->
-  ?cache:Pipeline.Cache.t ->
   ?disabled_passes:string list ->
   ?pool:Bose_par.Pool.t ->
   rng:Bose_util.Rng.t ->
@@ -145,16 +130,13 @@ val compile_for_target :
     while graph targets go through the target's derived elimination
     pattern (the result's [device] is the same placeholder 1-row
     lattice as {!compile_with_pattern}). Either way the result's
-    [target] field is set and the target name is folded into every pass
-    fingerprint, so one {!Pipeline.Cache.t} (or disk cache keyed off
-    these fingerprints) serves multiple targets without cross-talk.
+    [target] field is set.
     @raise Invalid_argument on a non-square input or a program larger
     than a grid target's device. *)
 
 val compile_batch :
   ?effort:effort ->
   ?tau:float ->
-  ?cache:Pipeline.Cache.t ->
   ?jobs:int ->
   rng:Bose_util.Rng.t ->
   device:Bose_hardware.Lattice.t ->
@@ -164,20 +146,13 @@ val compile_batch :
     wrapped in telemetry span ["compile.batch"], and each job
     increments the [compile.batch_jobs] counter.
 
-    Sequentially ([jobs] absent or 1), the batch runs through one
-    shared artifact cache (a fresh bounded cache when [?cache] is
-    absent): jobs whose pass inputs fingerprint identically replay each
-    other's artifacts instead of recompiling.
-
     With [~jobs:n > 1] the job list is sharded into contiguous chunks
-    across a [Bose_par.Pool] of [min n (length jobs)] domains. Each
-    domain compiles its chunk with its own workspace and its own
-    domain-local artifact cache; at the join barrier the local caches'
-    hit/miss statistics are folded into [?cache] (entries are not — a
-    shared mutable cache would race). Every job draws from a private
-    RNG stream keyed by the batch seed and the job's own content
+    across a [Bose_par.Pool] of [min n (length jobs)] domains, each
+    compile with its own workspace. Every job draws from a private RNG
+    stream keyed by the batch seed and the job's own content
     fingerprint, so the compiled plans and policies are bit-identical
-    across all [jobs] values, cache configurations, and shardings.
+    across all [jobs] values and shardings, and duplicate jobs compile
+    to identical results.
     Pool telemetry lands in the [par.*] gauges (docs/METRICS.md).
     @raise Invalid_argument when [jobs < 1]. *)
 
@@ -218,8 +193,8 @@ val lint :
     to ≤ 1e-8, every rotation addresses a pattern tree edge, the
     serialized plan round-trips, the dropout policy is well-shaped
     with expected fidelity ≥ τ, and the pass-manager trace shows every
-    registered pass ran exactly once in dependency order (BH09xx —
-    cache-hit compiles lint identical to cold). With [?unitary] (the
+    registered pass ran exactly once in dependency order (BH09xx).
+    With [?unitary] (the
     program unitary
     handed to {!compile}), additionally checks that un-permuting the
     mapping recovers it bit-exactly and that the input itself is

@@ -19,9 +19,8 @@ type pattern_source = Device | Explicit of Pattern.t
 
 (* The shared compile context: immutable job inputs up front, one
    mutable cell per artifact kind. Passes read the artifacts of the
-   passes before them and store exactly one artifact; the pipeline
-   driver owns sequencing (and may fill a cell from the cache without
-   running the pass at all). *)
+   passes before them and store exactly one artifact; [Pipeline.run]
+   owns sequencing. *)
 type ctx = {
   unitary : Mat.t;
   config : Config.t;
@@ -35,8 +34,7 @@ type ctx = {
   (* Intra-compile parallelism for the fused elimination/replay engines.
      A scheduling-only knob: engine selection is by problem size, never
      by pool presence, so artifacts are bit-identical at every pool
-     size — which is why the pool is NOT folded into fingerprints
-     (cache keys, like artifacts, must not depend on the job count). *)
+     size — which is why the pool is NOT folded into fingerprints. *)
   pool : Bose_par.Pool.t option;
   mutable pattern : Pattern.t option;
   mutable mapping : Mapping.t option;
@@ -82,10 +80,8 @@ let pattern_exn ctx = match ctx.pattern with Some p -> p | None -> missing "patt
 let mapping_exn ctx = match ctx.mapping with Some m -> m | None -> missing "mapping"
 let plan_exn ctx = match ctx.plan with Some p -> p | None -> missing "plan"
 
-(* Deep copies sever every mutable cell (matrices, element/weight
-   arrays) shared between a cached artifact and the one handed to the
-   caller, so neither side can poison the other. Patterns and
-   permutations are immutable behind their interfaces and are shared. *)
+(* Deep copies for perfbench/replica.ml's pass-cache model; no compile
+   path copies. Patterns and permutations are immutable and shared. *)
 let copy_mapping (m : Mapping.t) = { m with Mapping.permuted = Mat.copy m.Mapping.permuted }
 
 let copy_plan (t : Plan.t) =
@@ -101,12 +97,8 @@ let copy_artifact = function
   | Apolicy p -> Apolicy (Option.map copy_policy p)
 
 (* ------------------------------------------------------------------ *)
-(* Content fingerprints: FNV-1a over the bytes of a pass's inputs.
-   Artifacts produced by upstream passes are folded in by content, so a
-   pass's key transitively covers everything that can change its
-   output — except the RNG stream, which is deliberately excluded: the
-   cache canonicalizes a fingerprint to the first artifact computed for
-   it (see Pipeline).                                                  *)
+(* Content fingerprints: FNV-1a over bytes. The primitives key serve's
+   request caches and compile_batch's RNG streams.                    *)
 
 module Fingerprint = struct
   type t = int64
@@ -151,13 +143,11 @@ module Fingerprint = struct
   let to_hex = Printf.sprintf "%016Lx"
 end
 
-(* Shared job prefix: config + tau + effort (+ the target name when
-   compiling for one). The per-pass functions extend it with the
-   slices (unitary bytes, upstream artifacts) that pass actually
-   reads. Folding the target identity here is what keeps cache keys
-   from colliding across targets whose derived patterns happen to
-   coincide; target-less compiles keep their historical fingerprints
-   bit-for-bit (disk caches stay warm across the upgrade). *)
+(* The per-pass fingerprints, kept because perfbench/replica.ml keys
+   its pass-cache model with them. Shared job prefix: config + tau +
+   effort (+ the target name when compiling for one); each pass
+   extends it with the slices (unitary bytes, upstream artifacts) it
+   reads. *)
 let base_fp ctx =
   let open Fingerprint in
   let h = string seed (Config.name ctx.config) in

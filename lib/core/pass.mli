@@ -5,9 +5,8 @@
     artifact kind it {!type:t.produces}, the kinds it reads
     ({!type:t.depends}), the telemetry span that times it, a content
     {!Fingerprint} over its inputs, and an executable body over the
-    shared compile {!ctx}. [Pipeline] owns sequencing, caching and
-    trace recording; [Compiler.compile] is a thin driver over the
-    default registry.
+    shared compile {!ctx}. [Pipeline] owns sequencing and trace
+    recording; [Compiler.compile] runs the default registry.
 
     The pass bodies are verbatim the stages the monolithic
     [Compiler.compile] used to hardcode: outputs are bit-exact with the
@@ -35,9 +34,8 @@ type ctx = {
   source : pattern_source;
   target : string option;
       (** Hardware-target identity ([Compiler.compile_for_target]),
-          folded into every pass fingerprint so cache keys discriminate
-          across targets; [None] (the legacy paths) leaves fingerprints
-          bit-for-bit unchanged. *)
+          folded into every pass fingerprint; [None] (the legacy paths)
+          leaves fingerprints bit-for-bit unchanged. *)
   rng : Bose_util.Rng.t;
   ws : Bose_linalg.Mat.workspace;
   pool : Bose_par.Pool.t option;
@@ -85,8 +83,9 @@ val store : ctx -> artifact -> unit
 val copy_artifact : artifact -> artifact
 (** Deep copy severing every mutable cell (matrices, element and weight
     arrays); patterns and permutations are immutable behind their
-    interfaces and are shared. The cache copies on both insert and hit
-    so cached artifacts and caller-visible ones can never alias. *)
+    interfaces and are shared. No compile path copies artifacts; kept
+    because perfbench/replica.ml, which models a pass-level cache,
+    calls it. *)
 
 val pattern_exn : ctx -> Bose_hardware.Pattern.t
 val mapping_exn : ctx -> Bose_mapping.Mapping.t
@@ -94,11 +93,10 @@ val plan_exn : ctx -> Bose_decomp.Plan.t
 (** Artifact accessors.
     @raise Invalid_argument when the producing pass has not run. *)
 
-(** Content fingerprints: 64-bit FNV-1a folds over the bytes of a
-    pass's inputs — unitary entry bits, config name, tau bits, effort,
-    pattern structure, upstream artifact content. The RNG stream is
-    deliberately excluded: the artifact cache canonicalizes a
-    fingerprint to the first artifact computed for it. *)
+(** Content fingerprints: 64-bit FNV-1a folds over bytes — unitary
+    entry bits, config name, tau bits, effort, pattern structure. The
+    primitives key [bosec serve]'s request caches ([Serve.compile_key])
+    and [Compiler.compile_batch]'s per-job RNG streams. *)
 module Fingerprint : sig
   type t = int64
 
@@ -120,7 +118,9 @@ type t = {
   produces : kind;
   depends : kind list;  (** Artifact kinds this pass reads. *)
   fingerprint : ctx -> Fingerprint.t;
-      (** Content fingerprint over the pass's inputs; the cache key. *)
+      (** Content fingerprint over the pass's inputs (the RNG stream
+          excluded). No compile path reads it; kept because
+          perfbench/replica.ml keys its pass-cache model with it. *)
   run : ctx -> artifact;
   skip : (ctx -> artifact) option;
       (** Neutral artifact when the pass is disabled

@@ -45,102 +45,13 @@ let dep_names among (p : Pass.t) =
     p.Pass.depends
 
 (* ------------------------------------------------------------------ *)
-(* Fingerprint-keyed artifact cache: bounded LRU, deep-copying on both
-   insert and hit (see Pass.copy_artifact). Eviction scans for the
-   least-recent tick — O(capacity), trivial next to any pass body.     *)
-
-module Cache = struct
-  type entry = { mutable last_use : int; artifact : Pass.artifact }
-
-  type t = {
-    capacity : int;
-    tbl : (string, entry) Hashtbl.t;
-    mutable tick : int;
-    mutable hits : int;
-    mutable misses : int;
-    mutable evictions : int;
-  }
-
-  type stats = {
-    hits : int;
-    misses : int;
-    entries : int;
-    evictions : int;
-    capacity : int;
-  }
-
-  let create ?(capacity = 256) () =
-    if capacity < 1 then invalid_arg "Pipeline.Cache.create: capacity must be positive";
-    { capacity; tbl = Hashtbl.create 64; tick = 0; hits = 0; misses = 0; evictions = 0 }
-
-  let clear c =
-    Hashtbl.reset c.tbl;
-    c.tick <- 0
-
-  let stats (c : t) =
-    {
-      hits = c.hits;
-      misses = c.misses;
-      entries = Hashtbl.length c.tbl;
-      evictions = c.evictions;
-      capacity = c.capacity;
-    }
-
-  let find c key =
-    match Hashtbl.find_opt c.tbl key with
-    | Some e ->
-      c.tick <- c.tick + 1;
-      e.last_use <- c.tick;
-      c.hits <- c.hits + 1;
-      Some (Pass.copy_artifact e.artifact)
-    | None ->
-      c.misses <- c.misses + 1;
-      None
-
-  let evict_lru c =
-    let victim =
-      Hashtbl.fold
-        (fun key e acc ->
-           match acc with
-           | Some (_, best) when best <= e.last_use -> acc
-           | _ -> Some (key, e.last_use))
-        c.tbl None
-    in
-    match victim with
-    | None -> ()
-    | Some (key, _) ->
-      Hashtbl.remove c.tbl key;
-      c.evictions <- c.evictions + 1
-
-  let add c key artifact =
-    if not (Hashtbl.mem c.tbl key) then begin
-      if Hashtbl.length c.tbl >= c.capacity then evict_lru c;
-      c.tick <- c.tick + 1;
-      Hashtbl.replace c.tbl key { last_use = c.tick; artifact = Pass.copy_artifact artifact }
-    end
-
-  let absorb (c : t) (s : stats) =
-    c.hits <- c.hits + s.hits;
-    c.misses <- c.misses + s.misses;
-    c.evictions <- c.evictions + s.evictions
-
-  let pp fmt c =
-    let s = stats c in
-    Format.fprintf fmt "%d hits, %d misses, %d/%d entries, %d evictions" s.hits s.misses
-      s.entries s.capacity s.evictions
-end
-
-(* ------------------------------------------------------------------ *)
 (* Execution.                                                          *)
 
-type exec = { pass : string; cache_hit : bool; elapsed_s : float }
+type exec = { pass : string; elapsed_s : float }
 type trace = exec list
 
 let elapsed trace name =
   List.fold_left (fun acc e -> if e.pass = name then acc +. e.elapsed_s else acc) 0. trace
-
-let hits trace = List.length (List.filter (fun e -> e.cache_hit) trace)
-let misses trace = List.length (List.filter (fun e -> not e.cache_hit) trace)
 
 let check_disabled t disabled =
   List.iter
@@ -152,42 +63,22 @@ let check_disabled t disabled =
            invalid_arg ("Pipeline.run: pass " ^ name ^ " is mandatory and cannot be disabled"))
     disabled
 
-let run ?cache ?(disabled = []) t ctx =
+let run ?(disabled = []) t ctx =
   check_disabled t disabled;
   let trace = ref [] in
   List.iter
     (fun (p : Pass.t) ->
        if List.mem p.Pass.name disabled then
          (* A disabled pass contributes its neutral artifact outside
-            the pass system: no span, no cache traffic, no trace row
-            (the effective registry shrinks to match, see lint_trace). *)
+            the pass system: no span, no trace row (the effective
+            registry shrinks to match, see lint_trace). *)
          match p.Pass.skip with
          | Some skip -> Pass.store ctx (skip ctx)
          | None -> assert false
        else begin
          let t0 = Sys.time () in
-         let cache_hit =
-           Obs.Span.with_ p.Pass.span (fun () ->
-               match cache with
-               | None ->
-                 Pass.store ctx (p.Pass.run ctx);
-                 false
-               | Some c ->
-                 let key =
-                   p.Pass.name ^ ":" ^ Pass.Fingerprint.to_hex (p.Pass.fingerprint ctx)
-                 in
-                 (match Cache.find c key with
-                  | Some artifact ->
-                    Pass.store ctx artifact;
-                    true
-                  | None ->
-                    let artifact = p.Pass.run ctx in
-                    Pass.store ctx artifact;
-                    Cache.add c key artifact;
-                    false))
-         in
-         trace :=
-           { pass = p.Pass.name; cache_hit; elapsed_s = Sys.time () -. t0 } :: !trace
+         Obs.Span.with_ p.Pass.span (fun () -> Pass.store ctx (p.Pass.run ctx));
+         trace := { pass = p.Pass.name; elapsed_s = Sys.time () -. t0 } :: !trace
        end)
     t.passes;
   List.rev !trace
@@ -199,5 +90,5 @@ let lint_trace ?(disabled = []) t trace =
   {
     Lint.registered =
       List.map (fun (p : Pass.t) -> (p.Pass.name, dep_names effective p)) effective;
-    executed = List.map (fun e -> (e.pass, e.cache_hit)) trace;
+    executed = List.map (fun e -> e.pass) trace;
   }

@@ -1,11 +1,11 @@
 (** The pass-manager pipeline: an ordered registry of {!Pass.t} values
     executed over a shared compile context, with per-pass telemetry
-    spans, a fingerprint-keyed artifact cache, and an execution trace
-    the lint engine audits (BH09xx).
+    spans and an execution trace the lint engine audits (BH09xx).
 
     [Compiler.compile] and [compile_with_pattern] are thin drivers over
-    {!default}; [Compiler.compile_batch] shares one {!Cache.t} across a
-    job list so identical fingerprints reuse recorded artifacts. *)
+    {!default}. Every pass runs on every compile: results are reused
+    per request, above the compiler ([bosec serve]'s memory tier and
+    disk store, keyed by the whole request). *)
 
 type t
 (** An ordered pass registry. *)
@@ -19,6 +19,8 @@ val default : t
 (** The paper pipeline: [embed → map → decompose → dropout]. *)
 
 val passes : t -> Pass.t list
+(** The registry in execution order (perfbench's replica walks it). *)
+
 val names : t -> string list
 val find : t -> string -> Pass.t option
 
@@ -26,50 +28,9 @@ val dep_names : Pass.t list -> Pass.t -> string list
 (** Names of the passes (among the given list) producing the artifact
     kinds a pass depends on. *)
 
-(** Bounded-LRU artifact cache keyed by
-    ["<pass>:<input fingerprint>"]. Artifacts are deep-copied on both
-    insert and hit ({!Pass.copy_artifact}), so cache contents never
-    alias caller-visible matrices. A hit replays the recorded artifact
-    and skips the pass body entirely — including its RNG draws: the
-    cache canonicalizes a fingerprint to the first artifact computed
-    for it. Per-compile hit/miss counts surface as the
-    [compile.cache_hits]/[compile.cache_misses] gauges (METRICS.md);
-    lifetime totals via {!Cache.stats} ([bosec compile --cache-stats]). *)
-module Cache : sig
-  type t
-
-  val create : ?capacity:int -> unit -> t
-  (** [capacity] (default 256) bounds the entry count; the
-      least-recently-used entry is evicted at the bound.
-      @raise Invalid_argument if [capacity < 1]. *)
-
-  val clear : t -> unit
-  (** Drop every entry (statistics survive). *)
-
-  type stats = {
-    hits : int;
-    misses : int;
-    entries : int;
-    evictions : int;
-    capacity : int;
-  }
-
-  val stats : t -> stats
-  (** Lifetime totals since [create]. *)
-
-  val absorb : t -> stats -> unit
-  (** Fold another cache's statistics into this one's lifetime totals
-      ([hits]/[misses]/[evictions] add; [entries]/[capacity] are
-      ignored). Used by [Compiler.compile_batch ~jobs] to surface the
-      hit rates of its domain-local caches through the caller's cache. *)
-
-  val pp : Format.formatter -> t -> unit
-end
-
 type exec = {
   pass : string;
-  cache_hit : bool;  (** The pass replayed a cached artifact. *)
-  elapsed_s : float;  (** [Sys.time] spent in the stage (lookup + body). *)
+  elapsed_s : float;  (** [Sys.time] spent in the pass body. *)
 }
 
 type trace = exec list
@@ -77,17 +38,12 @@ type trace = exec list
     do not appear (their neutral artifact comes from [Pass.skip]). *)
 
 val elapsed : trace -> string -> float
-val hits : trace -> int
-val misses : trace -> int
 
-val run :
-  ?cache:Cache.t -> ?disabled:string list -> t -> Pass.ctx -> trace
-(** Execute the registry front to back over the context: for each
-    enabled pass, open its telemetry span, look its input fingerprint
-    up in [cache] (when given), and either replay the recorded artifact
-    or run the body and record the result. Disabled passes store their
-    [Pass.skip] artifact without running, outside spans, cache and
-    trace.
+val run : ?disabled:string list -> t -> Pass.ctx -> trace
+(** Execute the registry front to back over the context: each enabled
+    pass runs its body inside its telemetry span and stores its
+    artifact. Disabled passes store their [Pass.skip] artifact without
+    running, outside spans and trace.
     @raise Invalid_argument for an unknown or mandatory name in
     [disabled]. *)
 
@@ -95,5 +51,5 @@ val lint_trace :
   ?disabled:string list -> t -> trace -> Bose_lint.Lint.pipeline_trace
 (** Project a run onto the lint engine's pipeline-trace shape: the
     effective (post-disable) registry with resolved dependency names,
-    plus the executed list. A clean run lints to zero BH09xx
-    diagnostics, cold or cache-hit alike. *)
+    plus the executed pass names. A clean run lints to zero BH09xx
+    diagnostics. *)

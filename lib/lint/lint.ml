@@ -20,7 +20,7 @@ let c_errors = Obs.Counter.make "lint.errors"
 
 type pipeline_trace = {
   registered : (string * string list) list;
-  executed : (string * bool) list;
+  executed : string list;
 }
 
 type subject = {
@@ -688,15 +688,13 @@ let check_rngs rngs =
   pairs rngs
 
 (* BH09xx — pass-manager execution discipline. The trace is pure data
-   (pass names + cache-hit flags), so the checker works on traces from
-   any pipeline, including hand-built ones in tests. A cache hit counts
-   as the pass having run: cold and warm compiles of the same job must
-   produce traces that lint identically. *)
+   (pass names), so the checker works on traces from any pipeline,
+   including hand-built ones in tests. *)
 let check_pipeline (t : pipeline_trace) =
   let diags = ref [] in
   let emit d = diags := d :: !diags in
   let runs name =
-    List.length (List.filter (fun (n, _) -> n = name) t.executed)
+    List.length (List.filter (String.equal name) t.executed)
   in
   (* Every registered pass runs exactly once. *)
   List.iter
@@ -715,7 +713,7 @@ let check_pipeline (t : pipeline_trace) =
     t.registered;
   (* No unregistered pass executes. *)
   List.iter
-    (fun (name, _) ->
+    (fun name ->
        if not (List.mem_assoc name t.registered) then
          emit
            (Diag.error ~code:"BH0902"
@@ -725,7 +723,7 @@ let check_pipeline (t : pipeline_trace) =
      dependency has. *)
   let done_ = Hashtbl.create 8 in
   List.iter
-    (fun (name, _) ->
+    (fun name ->
        (match List.assoc_opt name t.registered with
         | None -> ()
         | Some deps ->

@@ -23,17 +23,13 @@ type pipeline_trace = {
       (** The effective pass registry for the compile, in registry
           order: pass name plus the names of the passes whose artifacts
           it declares as inputs. *)
-  executed : (string * bool) list;
-      (** Passes in execution order; [true] marks a fingerprint-cache
-          hit (the pass replayed recorded artifacts instead of
-          running). A hit still counts as the pass having run. *)
+  executed : string list;  (** Pass names in execution order. *)
 }
 (** Execution record of a pass-manager pipeline (produced by
     [Bosehedral.Pipeline], consumed by the [pipeline] pass, BH09xx):
     every registered pass must execute exactly once, no unregistered
     pass may execute, and no pass may execute before its declared
-    dependencies. Cache-hit and cold compiles produce traces that lint
-    identically. *)
+    dependencies. *)
 
 type subject = {
   unitary : Bose_linalg.Mat.t option;

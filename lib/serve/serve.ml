@@ -37,12 +37,79 @@ let g_mmap_hits = Obs.Gauge.make "store.mmap_hits"
 let h_batch_s =
   Obs.Histo.make "serve.batch_s" ~bounds:[| 1e-4; 1e-3; 1e-2; 0.1; 1.; 10. |]
 
+(* What a compile reply carries, and all the memory tier keeps. *)
+type answer = {
+  fidelity : float;
+  rotations : int;
+  modes : int;
+  plan_text : string;
+  unitary_text : string;
+}
+
+(* The memory tier, used without a disk store: one answer per compile
+   key, evicted least-recently-used first once the answers' text bytes
+   pass [max_bytes] — the disk store's shape, in memory. The newest
+   answer always stays, as in the store. Owner-domain state. *)
+module Mem = struct
+  type entry = { answer : answer; mutable last_use : int }
+
+  type t = {
+    tbl : (string, entry) Hashtbl.t;
+    max_bytes : int;
+    mutable bytes : int;
+    mutable tick : int;
+    mutable hits : int;
+    mutable misses : int;
+  }
+
+  let create ~max_bytes =
+    { tbl = Hashtbl.create 64; max_bytes; bytes = 0; tick = 0; hits = 0; misses = 0 }
+
+  let size e = String.length e.answer.plan_text + String.length e.answer.unitary_text
+
+  let touch m e =
+    m.tick <- m.tick + 1;
+    e.last_use <- m.tick
+
+  let find m key =
+    match Hashtbl.find_opt m.tbl key with
+    | Some e ->
+      touch m e;
+      m.hits <- m.hits + 1;
+      Some e.answer
+    | None ->
+      m.misses <- m.misses + 1;
+      None
+
+  (* Same key, same content: a stored key only refreshes its recency. *)
+  let add m key answer =
+    match Hashtbl.find_opt m.tbl key with
+    | Some e -> touch m e
+    | None ->
+      let e = { answer; last_use = 0 } in
+      touch m e;
+      Hashtbl.replace m.tbl key e;
+      m.bytes <- m.bytes + size e;
+      (* The newest entry has the largest tick, so it is never the
+         victim while another one remains. *)
+      while m.bytes > m.max_bytes && Hashtbl.length m.tbl > 1 do
+        let victim, v =
+          Hashtbl.fold
+            (fun k e acc ->
+               match acc with
+               | Some (_, best) when best.last_use <= e.last_use -> acc
+               | _ -> Some (k, e))
+            m.tbl None
+          |> Option.get
+        in
+        Hashtbl.remove m.tbl victim;
+        m.bytes <- m.bytes - size v
+      done
+end
+
 type t = {
   pool : Pool.t option;
-  mem : Pipeline.Cache.t option;
-      (** The pass cache, only without a disk store: every pass
-          fingerprint folds in the fields of the store's key, so behind
-          a store it would only retain artifacts. *)
+  mem : Mem.t option;  (** The memory tier, only without a disk store. *)
   disk : Diskcache.t option;
   mutable stop : bool;
   mutable requests : int;
@@ -55,13 +122,11 @@ type t = {
 let create ?(jobs = 1) ?cache_dir ?(max_cache_mb = 64) () =
   if jobs < 1 then invalid_arg "Serve.create: jobs must be >= 1";
   if max_cache_mb < 1 then invalid_arg "Serve.create: max_cache_mb must be >= 1";
+  let max_bytes = max_cache_mb * 1024 * 1024 in
   {
     pool = (if jobs > 1 then Some (Pool.create ~domains:jobs) else None);
-    mem = (match cache_dir with None -> Some (Pipeline.Cache.create ()) | Some _ -> None);
-    disk =
-      Option.map
-        (fun dir -> Diskcache.open_ ~dir ~max_bytes:(max_cache_mb * 1024 * 1024))
-        cache_dir;
+    mem = (match cache_dir with None -> Some (Mem.create ~max_bytes) | Some _ -> None);
+    disk = Option.map (fun dir -> Diskcache.open_ ~dir ~max_bytes) cache_dir;
     stop = false;
     requests = 0;
     errors = 0;
@@ -118,10 +183,10 @@ type request =
 
 (* The cache key: a content fingerprint over everything that determines
    the artifact. The seed is deliberately excluded — it only picks the
-   Haar sample, and the sampled unitary itself is folded in — matching
-   the pass cache's canonicalization rule. The target name is folded in
-   only when a target is requested, so pre-target disk caches keep
-   serving hits for target-less requests. *)
+   Haar sample and the RNG stream, and the sampled unitary itself is
+   folded in — so a key's first compile is its answer under any seed.
+   The target name is folded in only when a target is requested, so
+   pre-target disk caches keep serving hits for target-less requests. *)
 let compile_key ?target ~config ~tau ~effort ~rows ~cols u =
   let open Pass.Fingerprint in
   let h =
@@ -337,63 +402,52 @@ let parse_meta meta =
    fields themselves are always the text renderings (JSON strings carry
    no raw bytes); text round-trips are bit-exact, so the payload is
    identical whichever encoding backs it. *)
-let compile_result ?target ~cached ~format ~key ~fidelity ~rotations ~modes ~plan
-    ~unitary () =
+let compile_result ?target ~cached ~format ~key (a : answer) =
   Json.Obj
     ([
        ("key", Json.Str key);
        ("cached", Json.Str cached);
        ("format", Json.Str format);
-       ("modes", Json.Num (float_of_int modes));
-       ("rotations", Json.Num (float_of_int rotations));
-       ("fidelity", Json.Num fidelity);
-       ("plan", Json.Str plan);
-       ("unitary", Json.Str unitary);
+       ("modes", Json.Num (float_of_int a.modes));
+       ("rotations", Json.Num (float_of_int a.rotations));
+       ("fidelity", Json.Num a.fidelity);
+       ("plan", Json.Str a.plan_text);
+       ("unitary", Json.Str a.unitary_text);
      ]
      @ match target with None -> [] | Some name -> [ ("target", Json.Str name) ])
 
-(* Everything the reply and the disk write-through need from one
-   compile: the typed artifacts for the (binary) store, the text
-   renderings for the reply. *)
-type compile_out = {
-  co_mem_hit : bool;
-  co_fidelity : float;
-  co_rotations : int;
-  co_modes : int;
-  co_plan : Plan.t;
-  co_unitary : Mat.t;
-  co_plan_str : string;
-  co_unitary_str : string;
-}
+let target_name (req : compile_req) =
+  Option.map (fun (t : Target.t) -> t.Target.name) req.target
 
-(* Run one compile. [use_mem_cache] is false on pool domains: both
-   caches are owner-domain state. *)
-let do_compile t ~use_mem_cache (req : compile_req) =
+(* One compile: the reply's answer, plus the typed artifacts for the
+   (binary) disk store. Pure, so it runs on any domain. *)
+type compile_out = { answer : answer; plan : Plan.t; unitary : Mat.t }
+
+let do_compile (req : compile_req) =
   let rng = Rng.create req.seed in
-  let cache = if use_mem_cache then t.mem else None in
   let c =
     match req.target with
     | Some target ->
-      Compiler.compile_for_target ~effort:req.effort ~tau:req.tau ?cache ~rng ~target
+      Compiler.compile_for_target ~effort:req.effort ~tau:req.tau ~rng ~target
         ~config:req.config req.u
     | None ->
       let device = Lattice.create ~rows:req.rows ~cols:req.cols in
-      Compiler.compile ~effort:req.effort ~tau:req.tau ?cache ~rng ~device
-        ~config:req.config req.u
+      Compiler.compile ~effort:req.effort ~tau:req.tau ~rng ~device ~config:req.config
+        req.u
   in
-  let executed = c.Compiler.trace.Bose_lint.Lint.executed in
-  let mem_hit = executed <> [] && List.for_all snd executed in
   let plan = c.Compiler.plan in
   let unitary = c.Compiler.mapping.Mapping.permuted in
   {
-    co_mem_hit = mem_hit;
-    co_fidelity = Compiler.predicted_fidelity c;
-    co_rotations = Plan.rotation_count plan;
-    co_modes = plan.Plan.modes;
-    co_plan = plan;
-    co_unitary = unitary;
-    co_plan_str = Plan.to_string plan;
-    co_unitary_str = Unitary.to_string unitary;
+    answer =
+      {
+        fidelity = Compiler.predicted_fidelity c;
+        rotations = Plan.rotation_count plan;
+        modes = plan.Plan.modes;
+        plan_text = Plan.to_string plan;
+        unitary_text = Unitary.to_string unitary;
+      };
+    plan;
+    unitary;
   }
 
 let refresh_cache_gauges t =
@@ -423,34 +477,38 @@ let count_compile t = function
     t.misses <- t.misses + 1;
     Obs.Counter.incr c_misses
 
-(* Owner-domain completion of a compile miss: write-through to disk,
-   count, and render the reply. *)
+(* Owner-domain completion of a compile miss: write-through to the
+   store or the memory tier, count, and render the reply. *)
 let finish_compile t id (req : compile_req) outcome =
   match outcome with
   | Error msg -> reply_error t id "internal" msg
   | Ok o ->
-    let target = Option.map (fun (t : Target.t) -> t.Target.name) req.target in
+    let target = target_name req in
     Option.iter
       (fun d ->
          Diskcache.store d ~key:req.key
            ~meta:
-             (meta_line ?target ~fidelity:o.co_fidelity ~rotations:o.co_rotations
-                ~modes:o.co_modes ())
-           ~plan:o.co_plan ~unitary:o.co_unitary)
+             (meta_line ?target ~fidelity:o.answer.fidelity ~rotations:o.answer.rotations
+                ~modes:o.answer.modes ())
+           ~plan:o.plan ~unitary:o.unitary)
       t.disk;
-    count_compile t (if o.co_mem_hit then `Mem else `Miss);
+    Option.iter (fun m -> Mem.add m req.key o.answer) t.mem;
+    count_compile t `Miss;
     reply_ok id
-      (compile_result ?target
-         ~cached:(if o.co_mem_hit then "mem" else "none")
+      (compile_result ?target ~cached:"none"
          ~format:
            (match t.disk with
             | Some _ -> Diskcache.format_to_string Diskcache.Binary
             | None -> "none")
-         ~key:req.key ~fidelity:o.co_fidelity ~rotations:o.co_rotations
-         ~modes:o.co_modes ~plan:o.co_plan_str ~unitary:o.co_unitary_str ())
+         ~key:req.key o.answer)
 
-(* The reply to a compile whose key the disk store holds, or [None]. *)
-let disk_reply t id (req : compile_req) =
+let mem_reply t id req a =
+  count_compile t `Mem;
+  reply_ok id
+    (compile_result ?target:(target_name req) ~cached:"mem" ~format:"none" ~key:req.key a)
+
+(* The stored answer to a compile, disk else memory, or [None]. *)
+let lookup t id (req : compile_req) =
   match Option.map (fun d -> Diskcache.find d req.key) t.disk with
   | Some (Some hit) ->
     (match parse_meta hit.Diskcache.meta with
@@ -460,31 +518,29 @@ let disk_reply t id (req : compile_req) =
          (reply_ok id
             (compile_result ?target ~cached:"disk"
                ~format:(Diskcache.format_to_string hit.Diskcache.format)
-               ~key:req.key ~fidelity ~rotations ~modes
-               ~plan:(Plan.to_string hit.Diskcache.plan)
-               ~unitary:(Unitary.to_string hit.Diskcache.unitary) ()))
+               ~key:req.key
+               {
+                 fidelity;
+                 rotations;
+                 modes;
+                 plan_text = Plan.to_string hit.Diskcache.plan;
+                 unitary_text = Unitary.to_string hit.Diskcache.unitary;
+               }))
      | None ->
        (* Readable object, unreadable meta: recompile and let the
           write-through repair the entry. *)
        None)
-  | Some None | None -> None
+  | Some None -> None
+  | None -> Option.map (mem_reply t id req) (Option.bind t.mem (fun m -> Mem.find m req.key))
 
 (* A later request in the batch for a key compiled earlier in it: the
-   first compile's artifacts, through the store when one is attached. *)
+   stored answer, or the batch's own outcome when the entry is already
+   gone (evicted by the size bound). *)
 let duplicate_reply t id (req : compile_req) outcome =
   match outcome with
   | Error msg -> reply_error t id "internal" msg
   | Ok o ->
-    (match disk_reply t id req with
-     | Some r -> r
-     | None ->
-       count_compile t `Mem;
-       reply_ok id
-         (compile_result
-            ?target:(Option.map (fun (t : Target.t) -> t.Target.name) req.target)
-            ~cached:"mem" ~format:"none" ~key:req.key ~fidelity:o.co_fidelity
-            ~rotations:o.co_rotations ~modes:o.co_modes ~plan:o.co_plan_str
-            ~unitary:o.co_unitary_str ()))
+    (match lookup t id req with Some r -> r | None -> mem_reply t id req o.answer)
 
 let do_sample t (req : sample_req) =
   let rng = Rng.create req.s_seed in
@@ -593,9 +649,9 @@ let do_analyze t (req : analyze_req) =
 
 let stats_result t =
   let mem_hits, mem_misses, mem_entries =
-    match Option.map Pipeline.Cache.stats t.mem with
+    match t.mem with
     | None -> (0, 0, 0)
-    | Some s -> Pipeline.Cache.(s.hits, s.misses, s.entries)
+    | Some m -> (m.Mem.hits, m.Mem.misses, Hashtbl.length m.Mem.tbl)
   in
   let disk =
     match t.disk with
@@ -650,9 +706,10 @@ let handle_many t lines =
   t.requests <- t.requests + n;
   Obs.Counter.incr ~by:n c_requests;
   let replies = Array.make n "" in
-  (* Phase 1: everything except compile misses, plus disk lookups. The
-     first miss of each key compiles; later requests for the key wait
-     for it. [owner] maps a key to its compile's place in [misses]. *)
+  (* Phase 1: everything except compile misses, plus cache lookups.
+     The first miss of each key compiles; later requests for the key
+     wait for it. [owner] maps a key to its compile's place in
+     [misses]. *)
   let miss_idx = ref [] and dup_idx = ref [] in
   let owner = Hashtbl.create 8 in
   Array.iteri
@@ -677,30 +734,26 @@ let handle_many t lines =
        | Ok (Compile req) ->
          if Hashtbl.mem owner req.key then dup_idx := i :: !dup_idx
          else begin
-           match disk_reply t id req with
+           match lookup t id req with
            | Some r -> replies.(i) <- r
            | None ->
              Hashtbl.add owner req.key (Hashtbl.length owner);
              miss_idx := i :: !miss_idx
          end)
     parsed;
-  (* Phase 2: compile misses, one per key. Two or more fan out cold
-     over the pool; a single miss compiles inline (through the pass
-     cache when there is no store). *)
+  (* Phase 2: compile misses, one per key. Two or more fan out over
+     the pool; a single miss compiles inline. *)
   let misses = Array.of_list (List.rev !miss_idx) in
   let job i =
     match snd parsed.(i) with
     | Ok (Compile req) -> req
     | _ -> assert false
   in
-  let compile ~use_mem_cache i =
-    try Ok (do_compile t ~use_mem_cache (job i)) with e -> Error (Printexc.to_string e)
-  in
+  let compile i = try Ok (do_compile (job i)) with e -> Error (Printexc.to_string e) in
   let outcomes =
     match t.pool with
-    | Some pool when Array.length misses > 1 ->
-      Pool.map pool (compile ~use_mem_cache:false) misses
-    | _ -> Array.map (compile ~use_mem_cache:true) misses
+    | Some pool when Array.length misses > 1 -> Pool.map pool compile misses
+    | _ -> Array.map compile misses
   in
   Array.iteri
     (fun k i -> replies.(i) <- finish_compile t (fst parsed.(i)) (job i) outcomes.(k))

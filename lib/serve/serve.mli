@@ -13,24 +13,24 @@
     [parse], [bad-request] or [internal]. A malformed line never kills
     the server.
 
-    Compile results are cached in one tier. With a cache directory it
-    is a {!Bose_store.Diskcache} keyed by a
+    Compile results are cached in one tier, keyed by a
     {!Bosehedral.Pass.Fingerprint} over the request's full content
-    (config, tau, effort, device, unitary entries — the seed is
-    deliberately excluded: same content, same artifact); a disk hit
-    returns the stored bytes verbatim, so artifacts are bit-identical
-    across server restarts. Without one it is the in-process
-    {!Bosehedral.Pipeline.Cache} of pass-level artifacts. (Every pass
-    fingerprint folds in the fields of the disk key, so behind a store
-    the pass cache would only hold memory.)
+    (config, tau, effort, device or target, unitary entries — the seed
+    is deliberately excluded: same content, same artifact) and bounded
+    by [max_cache_mb]. With a cache directory it is a
+    {!Bose_store.Diskcache}; a disk hit returns the stored bytes
+    verbatim, so artifacts are bit-identical across server restarts.
+    Without one it is the memory tier: one answer (fidelity, counts,
+    plan and unitary text) per key, least-recently-used first out.
 
     Within a batch each key compiles once: later requests for it get
-    the first compile's artifacts, as a disk hit after the
-    write-through, or as [cached:"mem"] without a store. Batches of
-    two or more distinct misses are fanned out over a
+    the first compile's artifacts through the same lookup (or, when
+    the bound already evicted them, from the compile's outcome).
+    Batches of two or more distinct misses are fanned out over a
     {!Bose_par.Pool}; sampling requests hand the pool to the sampler's
     chain fan-out. All cache state is owner-domain-only — pool tasks
-    compile cold and never touch either cache.
+    compile and never touch either tier, and every answer is stored
+    on the owner domain, so replies do not depend on [jobs].
 
     Telemetry ([serve.*] counters/gauges, docs/METRICS.md) records
     request counts, per-level cache hits, latency and disk-store
@@ -42,8 +42,10 @@ type t
 val create :
   ?jobs:int -> ?cache_dir:string -> ?max_cache_mb:int -> unit -> t
 (** [jobs] (default 1) is total domain parallelism — [jobs - 1] worker
-    domains are spawned. [cache_dir] enables the disk store, sized by
-    [max_cache_mb] (default 64).
+    domains are spawned. [cache_dir] enables the disk store, which then
+    replaces the memory tier. [max_cache_mb] (default 64) bounds the
+    one tier: the store's object bytes, or the memory tier's plan and
+    unitary text bytes.
     @raise Invalid_argument when [jobs < 1] or [max_cache_mb < 1]. *)
 
 val shutdown : t -> unit

@@ -80,9 +80,17 @@ let read_file path =
     (fun () -> really_input_string ic (in_channel_length ic))
 
 (* Write-then-rename: the temp file lives in the destination directory
-   so the rename never crosses a filesystem boundary. *)
+   so the rename never crosses a filesystem boundary. A writer killed
+   between the two steps leaves the temp file behind; [open_] removes
+   it and [audit] skips it ([is_temp]). *)
+let temp_prefix = ".part"
+let temp_suffix = ".tmp"
+
+let is_temp name =
+  String.starts_with ~prefix:temp_prefix name && String.ends_with ~suffix:temp_suffix name
+
 let write_atomic ~path content =
-  let tmp = Filename.temp_file ~temp_dir:(Filename.dirname path) ".part" ".tmp" in
+  let tmp = Filename.temp_file ~temp_dir:(Filename.dirname path) temp_prefix temp_suffix in
   let oc = open_out_bin tmp in
   (try
      output_string oc content;
@@ -133,7 +141,7 @@ let map_file path : Mat.bigbytes option =
    encodings, both of which their [of_string] dispatches on — so the
    container never inspects float bytes itself. *)
 
-let render_object ~key ~meta ~format ~plan ~unitary =
+let render_object ~key ~meta ~plan ~unitary =
   let buf =
     Buffer.create (80 + String.length meta + String.length plan + String.length unitary)
   in
@@ -141,7 +149,7 @@ let render_object ~key ~meta ~format ~plan ~unitary =
   Buffer.add_char buf '\n';
   Buffer.add_string buf ("key " ^ key ^ "\n");
   Buffer.add_string buf ("meta " ^ meta ^ "\n");
-  Buffer.add_string buf ("format " ^ format_to_string format ^ "\n");
+  Buffer.add_string buf ("format " ^ format_to_string Binary ^ "\n");
   Buffer.add_string buf (Printf.sprintf "plan %d\n" (String.length plan));
   Buffer.add_string buf plan;
   Buffer.add_string buf (Printf.sprintf "unitary %d\n" (String.length unitary));
@@ -400,12 +408,17 @@ let enforce_bound (t : t) ~keep =
     continue_ := evict_lru t ~keep
   done
 
+let readdir d = try Sys.readdir d with Sys_error _ -> [||]
+
 let open_ ~dir ~max_bytes =
   if max_bytes < 1 then invalid_arg "Diskcache.open_: max_bytes must be positive";
   if Sys.file_exists dir && not (Sys.is_directory dir) then
     invalid_arg ("Diskcache.open_: not a directory: " ^ dir);
   mkdir_p (objects_dir dir);
   mkdir_p (quarantine_dir dir);
+  (* Temp files of writes that never reached their rename. *)
+  let remove_temp d f = if is_temp f then try Sys.remove (d // f) with Sys_error _ -> () in
+  Array.iter (remove_temp dir) (readdir dir);
   let t =
     {
       dir;
@@ -438,12 +451,13 @@ let open_ ~dir ~max_bytes =
        entries);
   Array.iter
     (fun file ->
+       remove_temp (objects_dir dir) file;
        if validate_key file && not (Hashtbl.mem t.tbl file) then begin
          let size = file_size (objects_dir dir // file) in
          Hashtbl.replace t.tbl file { last_use = 0; size };
          t.bytes <- t.bytes + size
        end)
-    (try Sys.readdir (objects_dir dir) with Sys_error _ -> [||]);
+    (readdir (objects_dir dir));
   enforce_bound t ~keep:"";
   write_index t;
   t
@@ -500,7 +514,7 @@ let find t key =
              t.misses <- t.misses + 1;
              None)))
 
-let store ?(format = Binary) t ~key ~meta ~plan ~unitary =
+let store t ~key ~meta ~plan ~unitary =
   if not (validate_key key) then invalid_arg ("Diskcache.store: invalid key " ^ key);
   if String.contains meta '\n' then
     invalid_arg "Diskcache.store: meta must be a single line";
@@ -511,15 +525,9 @@ let store ?(format = Binary) t ~key ~meta ~plan ~unitary =
     t.tick <- t.tick + 1;
     e.last_use <- t.tick
   | None ->
-    let plan_str =
-      match format with Text -> Plan.to_string plan | Binary -> Plan.to_binary_string plan
-    in
-    let unitary_str =
-      match format with
-      | Text -> Unitary.to_string unitary
-      | Binary -> Unitary.to_binary_string unitary
-    in
-    let content = render_object ~key ~meta ~format ~plan:plan_str ~unitary:unitary_str in
+    let plan = Plan.to_binary_string plan in
+    let unitary = Unitary.to_binary_string unitary in
+    let content = render_object ~key ~meta ~plan ~unitary in
     write_atomic ~path:(objects_dir t.dir // key) content;
     t.tick <- t.tick + 1;
     Hashtbl.replace t.tbl key { last_use = t.tick; size = String.length content };
@@ -569,16 +577,18 @@ let audit dir =
     Array.iter
       (fun file ->
          let path = objects_dir dir // file in
-         if not (Hashtbl.mem index_keys file) then
-           issues := Orphan_object { file = path } :: !issues;
-         match parse_object ~key:file (read_file path) with
-         | Ok _ -> ()
-         | Error (Wrong_version version) ->
-           issues := Version_mismatch { file = path; version } :: !issues
-         | Error (Corrupt msg) -> issues := Corrupt_object { file = path; msg } :: !issues
-         | exception Sys_error msg ->
-           issues := Corrupt_object { file = path; msg } :: !issues)
-      (try Sys.readdir (objects_dir dir) with Sys_error _ -> [||]);
+         if not (is_temp file) then begin
+           if not (Hashtbl.mem index_keys file) then
+             issues := Orphan_object { file = path } :: !issues;
+           match parse_object ~key:file (read_file path) with
+           | Ok _ -> ()
+           | Error (Wrong_version version) ->
+             issues := Version_mismatch { file = path; version } :: !issues
+           | Error (Corrupt msg) -> issues := Corrupt_object { file = path; msg } :: !issues
+           | exception Sys_error msg ->
+             issues := Corrupt_object { file = path; msg } :: !issues
+         end)
+      (readdir (objects_dir dir));
     List.rev !issues
   end
 

@@ -1,27 +1,23 @@
 (** A content-fingerprint-keyed, disk-backed artifact store — the
-    persistence layer behind [bosec serve].
-
-    The in-memory [Pipeline.Cache] makes warm recompiles ~170-260x
-    faster but dies with the process; this store makes the speedup
-    survive restarts. Keys are the pass manager's FNV-1a content
-    fingerprints rendered as 16 hex characters
-    ([Pass.Fingerprint.to_hex]); values are typed artifacts — a
-    [Plan.t] and its unitary — serialized through the stable codecs,
-    so a disk hit returns exactly what the original compile produced.
+    persistence layer behind [bosec serve], so compile answers survive
+    restarts. Keys are FNV-1a content fingerprints rendered as 16 hex
+    characters ([Pass.Fingerprint.to_hex] of [Serve.compile_key]);
+    values are typed artifacts — a [Plan.t] and its unitary —
+    serialized through the stable codecs, so a disk hit returns exactly
+    what the original compile produced.
 
     {2 Artifact formats}
 
-    New objects are written in the v2 {e binary} artifact encoding by
-    default ([Plan.to_binary_string] / [Unitary.to_binary_string]:
-    magic, format version, raw little-endian planes, FNV-1a checksum) —
-    no hex-float parsing on load, and on little-endian hosts {!find}
+    New objects are written in the v2 {e binary} artifact encoding
+    ([Plan.to_binary_string] / [Unitary.to_binary_string]: magic,
+    format version, raw little-endian planes, FNV-1a checksum) — no
+    hex-float parsing on load, and on little-endian hosts {!find}
     serves reads {e zero-copy}: the object file is mapped with
     [Unix.map_file] and the unitary's planes are blitted straight out
-    of the mapping ([stats.mmap_hits] counts these). [~format:Text]
-    keeps the PR 6 hex-float text artifacts for operators who want
-    greppable objects. Both load through the same dispatching readers,
-    and directories written by older binaries (v1 containers, text-only)
-    keep serving hits — the migration story is in docs/SERVING.md.
+    of the mapping ([stats.mmap_hits] counts these). Text objects —
+    v2 text sections and v1 containers written by older binaries —
+    load through the same dispatching readers and keep serving hits;
+    the migration story is in docs/SERVING.md.
 
     {2 On-disk layout} (documented for operators in docs/SERVING.md)
 
@@ -31,9 +27,10 @@
     <dir>/quarantine/        corrupted entries moved aside, never read
     v}
 
-    Every write is atomic (write to a temp file in the same directory,
-    then rename), so a crashed or killed writer never leaves a
-    half-written object where a reader can trip on it. The index is a
+    Every write is atomic (write to a temp file [.part*.tmp] in the
+    same directory, then rename), so a crashed or killed writer never
+    leaves a half-written object where a reader can trip on it; {!open_}
+    removes the temp files such a writer leaves. The index is a
     performance hint, not a source of truth: {!open_} reconciles it
     against the object files (missing files are dropped, orphan files
     adopted), and deleting any file — or the whole directory — is
@@ -47,15 +44,17 @@
     without modifying the directory.
 
     The store is single-domain mutable state: callers serialize access
-    (the serve daemon performs all store traffic on the owner domain). *)
+    (the serve daemon performs all store traffic on the owner domain).
+    One process owns a directory: another process opening it would
+    remove the first one's in-flight temp files. *)
 
 type t
 
 (** Artifact encoding inside an object's sections. *)
 type format =
-  | Text  (** Hex-float line format — greppable, v1-compatible. *)
-  | Binary  (** v2 binary encoding — mmap-servable, ~an order of
-                magnitude faster to load. *)
+  | Text  (** Hex-float line format (v1 objects, older v2 objects). *)
+  | Binary  (** v2 binary encoding — what {!store} writes;
+                mmap-servable, ~an order of magnitude faster to load. *)
 
 val format_to_string : format -> string
 (** ["text"] / ["binary"] — the wire spelling used by the object's
@@ -74,9 +73,10 @@ type stats = {
 }
 
 val open_ : dir:string -> max_bytes:int -> t
-(** Open (creating directories as needed) and reconcile the index
-    against the object files. [max_bytes] bounds the total object-file
-    bytes; least-recently-used entries are evicted past it.
+(** Open (creating directories as needed), remove leftover temp files
+    and reconcile the index against the object files. [max_bytes]
+    bounds the total object-file bytes; least-recently-used entries are
+    evicted past it.
     @raise Invalid_argument when [max_bytes < 1] or [dir] exists and is
     not a directory. *)
 
@@ -107,16 +107,15 @@ val find : t -> string -> hit option
     wrong-version object is quarantined and reported as a miss. *)
 
 val store :
-  ?format:format ->
   t ->
   key:string ->
   meta:string ->
   plan:Bose_decomp.Plan.t ->
   unitary:Bose_linalg.Mat.t ->
   unit
-(** Record an artifact (atomic write-then-rename), update the index and
-    evict past the size bound. [format] (default {!Binary}) picks the
-    section encoding. Storing an existing key only refreshes its
+(** Record an artifact as a v2 binary object (atomic
+    write-then-rename), update the index and evict past the size
+    bound. Storing an existing key only refreshes its
     recency — the store is content-addressed, same key means same
     content. [meta] is one free-form line (no newline).
     @raise Invalid_argument on an invalid key, a [meta] containing a
@@ -151,6 +150,6 @@ val audit : string -> issue list
 (** Audit a cache directory without opening or modifying it. A missing
     directory is one [Bad_index]; a missing index with no objects is a
     fresh cache and clean. [quarantine/] contents are expected-bad and
-    not audited. *)
+    not audited, and leftover temp files are not objects. *)
 
 val pp_issue : Format.formatter -> issue -> unit

@@ -1,11 +1,9 @@
-(* Tests for the pass-manager pipeline: the registry, the
-   fingerprint-keyed artifact cache, the batch driver, disabled passes,
-   and the BH09xx pipeline lint checker.
+(* Tests for the pass-manager pipeline: the registry, batch compiles,
+   disabled passes, and the BH09xx pipeline lint checker.
 
    The load-bearing property throughout is bit-exactness: the pipeline
    must reproduce the pre-refactor monolithic compiler byte for byte
-   (same artifacts, same RNG draw order), and a cache-hit compile must
-   be indistinguishable from a cold one. *)
+   (same artifacts, same RNG draw order). *)
 
 module Rng = Bose_util.Rng
 module Mat = Bose_linalg.Mat
@@ -17,7 +15,6 @@ module Plan = Bose_decomp.Plan
 module Eliminate = Bose_decomp.Eliminate
 module Mapping = Bose_mapping.Mapping
 module Dropout = Bose_dropout.Dropout
-module Obs = Bose_obs.Obs
 module Lint = Bose_lint.Lint
 module Diag = Bose_lint.Diag
 open Bosehedral
@@ -141,119 +138,22 @@ let test_plan_binary_roundtrip_bit_exact () =
            text (Plan.to_string p))
     Config.all
 
-(* --------------------------------------------------------- the cache *)
-
-let compile_cached cache seed u =
-  Compiler.compile ?cache ~tau:0.99 ~rng:(Rng.create seed) ~device:device33
-    ~config:Config.Full_opt u
-
-let test_cache_hit_bit_identical () =
-  let u = Unitary.haar_random (Rng.create 12) 9 in
-  let cache = Pipeline.Cache.create () in
-  let cold = compile_cached (Some cache) 42 u in
-  let s1 = Pipeline.Cache.stats cache in
-  Alcotest.(check int) "cold run misses every pass" 4 s1.Pipeline.Cache.misses;
-  Alcotest.(check int) "cold run hits nothing" 0 s1.Pipeline.Cache.hits;
-  Alcotest.(check int) "one entry per pass" 4 s1.Pipeline.Cache.entries;
-  let warm = compile_cached (Some cache) 42 u in
-  let s2 = Pipeline.Cache.stats cache in
-  Alcotest.(check int) "warm run hits every pass" 4 s2.Pipeline.Cache.hits;
-  Alcotest.(check int) "no new misses" 4 s2.Pipeline.Cache.misses;
-  check_compiled_eq "warm vs cold" cold warm;
-  (* The replayed artifacts are deep copies: mutating the warm result
-     must not corrupt the cache for a third compile. *)
-  Mat.set warm.Compiler.mapping.Mapping.permuted 0 0 (Bose_linalg.Cx.re 999.);
-  let warm2 = compile_cached (Some cache) 42 u in
-  check_compiled_eq "cache unpoisoned by caller mutation" cold warm2
-
-let test_cache_gauges () =
-  (* The per-compile hit/miss gauges surface in telemetry reports. *)
-  Obs.reset ();
-  Obs.enable ();
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.disable ();
-      Obs.reset ())
-    (fun () ->
-      let u = Unitary.haar_random (Rng.create 13) 6 in
-      let cache = Pipeline.Cache.create () in
-      ignore (compile_cached (Some cache) 7 u);
-      let r = Obs.Report.capture () in
-      Alcotest.(check (option (float 0.))) "cold: no hits" (Some 0.)
-        (Obs.Report.gauge r "compile.cache_hits");
-      Alcotest.(check (option (float 0.))) "cold: all misses" (Some 4.)
-        (Obs.Report.gauge r "compile.cache_misses");
-      ignore (compile_cached (Some cache) 7 u);
-      let r = Obs.Report.capture () in
-      Alcotest.(check (option (float 0.))) "warm: all hits" (Some 4.)
-        (Obs.Report.gauge r "compile.cache_hits");
-      Alcotest.(check (option (float 0.))) "warm: no misses" (Some 0.)
-        (Obs.Report.gauge r "compile.cache_misses"))
-
-let test_cache_uncached_compile_untouched () =
-  (* Without ?cache the compile is cold by construction — bit-exact
-     with a cached cold compile of the same job. *)
-  let u = Unitary.haar_random (Rng.create 14) 9 in
-  let plain = compile_cached None 42 u in
-  let cached = compile_cached (Some (Pipeline.Cache.create ())) 42 u in
-  check_compiled_eq "plain vs cached-cold" plain cached
-
-let test_cache_capacity_and_eviction () =
-  Alcotest.check_raises "zero capacity rejected"
-    (Invalid_argument "Pipeline.Cache.create: capacity must be positive") (fun () ->
-      ignore (Pipeline.Cache.create ~capacity:0 ()));
-  let u = Unitary.haar_random (Rng.create 15) 6 in
-  let cache = Pipeline.Cache.create ~capacity:1 () in
-  let a = compile_cached (Some cache) 42 u in
-  let b = compile_cached (Some cache) 42 u in
-  let s = Pipeline.Cache.stats cache in
-  Alcotest.(check int) "bounded at capacity" 1 s.Pipeline.Cache.entries;
-  Alcotest.(check bool) "evictions happened" true (s.Pipeline.Cache.evictions > 0);
-  (* With capacity 1 every pass but the last is evicted before reuse:
-     the second compile is effectively cold — and still identical. *)
-  check_compiled_eq "evicting cache stays correct" a b;
-  Pipeline.Cache.clear cache;
-  let s = Pipeline.Cache.stats cache in
-  Alcotest.(check int) "clear empties" 0 s.Pipeline.Cache.entries;
-  Alcotest.(check bool) "clear keeps stats" true (s.Pipeline.Cache.misses > 0)
-
-let test_cache_keys_discriminate () =
-  (* Different unitaries, configs, tau or effort must never collide. *)
-  let cache = Pipeline.Cache.create () in
-  let u1 = Unitary.haar_random (Rng.create 16) 6 in
-  let u2 = Unitary.haar_random (Rng.create 17) 6 in
-  let compile ?(tau = 0.99) ?(effort = Compiler.Standard) ~config u =
-    Compiler.compile ~effort ~tau ~cache ~rng:(Rng.create 42) ~device:device33 ~config u
-  in
-  ignore (compile ~config:Config.Full_opt u1);
-  ignore (compile ~config:Config.Full_opt u2);
-  ignore (compile ~config:Config.Baseline u1);
-  ignore (compile ~config:Config.Full_opt ~tau:0.999 u1);
-  ignore (compile ~config:Config.Full_opt ~effort:Compiler.Fast u1);
-  let s = Pipeline.Cache.stats cache in
-  (* Embed's fingerprint covers config, tau, effort and N but not the
-     unitary entries, so only u2's embed hits; every other combination
-     changes some fingerprinted input and misses. *)
-  Alcotest.(check int) "only structural hits" 1 s.Pipeline.Cache.hits
-
 (* ------------------------------------------------------------- batch *)
 
-let test_compile_batch_shares_cache () =
+let test_compile_batch_duplicates () =
+  (* A duplicate job draws the same content-keyed RNG stream as its
+     first occurrence, so it compiles to the same artifacts. *)
   let u1 = Unitary.haar_random (Rng.create 18) 6 in
   let u2 = Unitary.haar_random (Rng.create 19) 6 in
-  let cache = Pipeline.Cache.create () in
-  let results =
-    Compiler.compile_batch ~tau:0.99 ~cache ~rng:(Rng.create 42) ~device:device33
+  match
+    Compiler.compile_batch ~tau:0.99 ~rng:(Rng.create 42) ~device:device33
       [ (u1, Config.Full_opt); (u2, Config.Baseline); (u1, Config.Full_opt) ]
-  in
-  (match results with
-   | [ a; b; c ] ->
-     check_compiled_eq "duplicate jobs identical" a c;
-     Alcotest.(check bool) "distinct jobs distinct" false
-       (Plan.to_string a.Compiler.plan = Plan.to_string b.Compiler.plan)
-   | _ -> Alcotest.fail "expected three results");
-  let s = Pipeline.Cache.stats cache in
-  Alcotest.(check int) "third job replays the first" 4 s.Pipeline.Cache.hits
+  with
+  | [ a; b; c ] ->
+    check_compiled_eq "duplicate jobs identical" a c;
+    Alcotest.(check bool) "distinct jobs distinct" false
+      (Plan.to_string a.Compiler.plan = Plan.to_string b.Compiler.plan)
+  | _ -> Alcotest.fail "expected three results"
 
 (* ---------------------------------------------------- disabled passes *)
 
@@ -333,7 +233,7 @@ let full_registry =
   [ ("embed", []); ("map", [ "embed" ]); ("decompose", [ "embed"; "map" ]);
     ("dropout", [ "decompose"; "map" ]) ]
 
-let executed_clean = [ ("embed", false); ("map", false); ("decompose", false); ("dropout", false) ]
+let executed_clean = [ "embed"; "map"; "decompose"; "dropout" ]
 
 let test_bh0901_missing_or_repeated () =
   (* Drop a leaf pass (dropout) so the only violation is the missing
@@ -342,20 +242,20 @@ let test_bh0901_missing_or_repeated () =
     lint_trace
       {
         Lint.registered = full_registry;
-        executed = List.filter (fun (n, _) -> n <> "dropout") executed_clean;
+        executed = List.filter (fun n -> n <> "dropout") executed_clean;
       }
   in
   Alcotest.(check (list string)) "missing pass" [ "BH0901" ] (codes missing);
   let repeated =
     lint_trace
-      { Lint.registered = full_registry; executed = ("embed", true) :: executed_clean }
+      { Lint.registered = full_registry; executed = "embed" :: executed_clean }
   in
   Alcotest.(check (list string)) "repeated pass" [ "BH0901" ] (codes repeated)
 
 let test_bh0902_unregistered () =
   let ds =
     lint_trace
-      { Lint.registered = full_registry; executed = executed_clean @ [ ("fuse", false) ] }
+      { Lint.registered = full_registry; executed = executed_clean @ [ "fuse" ] }
   in
   Alcotest.(check (list string)) "unregistered pass" [ "BH0902" ] (codes ds)
 
@@ -364,34 +264,27 @@ let test_bh0903_out_of_order () =
     lint_trace
       {
         Lint.registered = full_registry;
-        executed =
-          [ ("map", false); ("embed", false); ("decompose", false); ("dropout", false) ];
+        executed = [ "map"; "embed"; "decompose"; "dropout" ];
       }
   in
   Alcotest.(check (list string)) "map before embed" [ "BH0903" ] (codes ds)
 
 let test_compile_trace_lints_clean () =
   let u = Unitary.haar_random (Rng.create 23) 6 in
-  let cache = Pipeline.Cache.create () in
-  let cold = compile_cached (Some cache) 42 u in
-  let warm = compile_cached (Some cache) 42 u in
-  Alcotest.(check (list string)) "cold trace clean" [] (codes (lint_trace cold.Compiler.trace));
-  Alcotest.(check (list string)) "warm trace clean" [] (codes (lint_trace warm.Compiler.trace));
-  (* A cache hit still counts as the pass having run: the executed
-     names match cold byte for byte, only the hit flags differ. *)
-  Alcotest.(check (list string)) "same executed passes"
-    (List.map fst cold.Compiler.trace.Lint.executed)
-    (List.map fst warm.Compiler.trace.Lint.executed);
-  Alcotest.(check bool) "warm ran from cache" true
-    (List.for_all snd warm.Compiler.trace.Lint.executed)
+  let c =
+    Compiler.compile ~tau:0.99 ~rng:(Rng.create 42) ~device:device33 ~config:Config.Full_opt u
+  in
+  Alcotest.(check (list string)) "trace clean" [] (codes (lint_trace c.Compiler.trace));
+  Alcotest.(check (list string)) "every pass ran, in registry order"
+    (Pipeline.names Pipeline.default) c.Compiler.trace.Lint.executed
 
-(* -------------------------------------- irregular coupling + caching *)
+(* ------------------------------------------------ irregular coupling *)
 
-let test_irregular_pattern_cold_vs_warm () =
-  (* Satellite: compile_with_pattern on a genuinely non-lattice coupling
-     graph (odd cycle lengths, a degree-5 hub, no grid structure), cold
-     vs cache-hit — plans and policies must be bit-identical and both
-     compiles must lint clean. *)
+let test_irregular_pattern_repeat () =
+  (* compile_with_pattern on a genuinely non-lattice coupling graph (odd
+     cycle lengths, a degree-5 hub, no grid structure), twice — plans
+     and policies must be bit-identical and both compiles must lint
+     clean. *)
   let n = 10 in
   let coupling =
     Coupling.of_edges ~n
@@ -400,26 +293,24 @@ let test_irregular_pattern_cold_vs_warm () =
   in
   let pattern = Emb.of_coupling_for_program coupling n in
   let u = Unitary.haar_random (Rng.create 24) n in
-  let cache = Pipeline.Cache.create () in
   let compile () =
-    Compiler.compile_with_pattern ~tau:0.99 ~cache ~rng:(Rng.create 42) ~pattern
+    Compiler.compile_with_pattern ~tau:0.99 ~rng:(Rng.create 42) ~pattern
       ~config:Config.Full_opt u
   in
-  let cold = compile () in
-  let warm = compile () in
-  Alcotest.(check int) "warm hit every pass" 4 (Pipeline.Cache.stats cache).Pipeline.Cache.hits;
-  check_compiled_eq "irregular cold vs warm" cold warm;
-  Alcotest.(check bool) "dropout engaged" true (cold.Compiler.policy <> None);
+  let first = compile () in
+  let again = compile () in
+  check_compiled_eq "irregular first vs again" first again;
+  Alcotest.(check bool) "dropout engaged" true (first.Compiler.policy <> None);
   let lint c = List.map (fun d -> d.Diag.code) (Compiler.lint ~unitary:u c) in
-  Alcotest.(check (list string)) "cold lints clean" [] (lint cold);
-  Alcotest.(check (list string)) "warm lints clean" [] (lint warm)
+  Alcotest.(check (list string)) "first lints clean" [] (lint first);
+  Alcotest.(check (list string)) "again lints clean" [] (lint again)
 
 (* ---------------------------------------------------- hardware targets *)
 
 module Target = Bose_hardware.Target
 
-let compile_target ?cache ?(effort = Compiler.Standard) target u =
-  Compiler.compile_for_target ?cache ~effort ~tau:0.99 ~rng:(Rng.create 42) ~target
+let compile_target ?(effort = Compiler.Standard) target u =
+  Compiler.compile_for_target ~effort ~tau:0.99 ~rng:(Rng.create 42) ~target
     ~config:Config.Full_opt u
 
 let test_target_zigzag_bit_exact () =
@@ -436,37 +327,6 @@ let test_target_zigzag_bit_exact () =
        in
        check_compiled_eq (Printf.sprintf "zigzag n=%d" n) via_target via_device)
     [ 6; 9; 12 ]
-
-let test_target_cache_keys_discriminate () =
-  (* The target name is folded into every pass fingerprint: the same
-     unitary compiled with and without --target zigzag (identical
-     device, config, tau, effort) must occupy distinct cache entries,
-     and distinct targets never share entries. *)
-  let u = Unitary.haar_random (Rng.create 33) 9 in
-  let cache = Pipeline.Cache.create () in
-  ignore
-    (Compiler.compile ~cache ~tau:0.99 ~rng:(Rng.create 42) ~device:device33
-       ~config:Config.Full_opt u);
-  let s = Pipeline.Cache.stats cache in
-  Alcotest.(check int) "plain compile: all misses" 0 s.Pipeline.Cache.hits;
-  ignore (compile_target ~cache Target.zigzag u);
-  let s = Pipeline.Cache.stats cache in
-  Alcotest.(check int) "same job + target: still no hits" 0 s.Pipeline.Cache.hits;
-  ignore (compile_target ~cache Target.orca_shallow u);
-  let s = Pipeline.Cache.stats cache in
-  Alcotest.(check int) "different target: still no hits" 0 s.Pipeline.Cache.hits;
-  (* Re-running each keyed job replays it fully from cache. *)
-  ignore (compile_target ~cache Target.zigzag u);
-  let s = Pipeline.Cache.stats cache in
-  Alcotest.(check int) "zigzag rerun: full hit" 4 s.Pipeline.Cache.hits;
-  ignore (compile_target ~cache Target.orca_shallow u);
-  let s = Pipeline.Cache.stats cache in
-  Alcotest.(check int) "orca rerun: full hit" 8 s.Pipeline.Cache.hits;
-  (* And the replayed artifacts are the right ones per key. *)
-  let a = compile_target ~cache Target.zigzag u in
-  let b = compile_target ~cache Target.orca_shallow u in
-  Alcotest.(check bool) "distinct targets, distinct plans" false
-    (Plan.to_string a.Compiler.plan = Plan.to_string b.Compiler.plan)
 
 let test_graph_targets_compile_clean () =
   (* ISSUE acceptance: timebin-loop and orca-shallow compile N = 8..32
@@ -502,18 +362,8 @@ let () =
           Alcotest.test_case "plan binary codec bit-exact" `Quick
             test_plan_binary_roundtrip_bit_exact;
         ] );
-      ( "cache",
-        [
-          Alcotest.test_case "hit replays bit-identical" `Quick test_cache_hit_bit_identical;
-          Alcotest.test_case "hit/miss gauges" `Quick test_cache_gauges;
-          Alcotest.test_case "uncached equals cached-cold" `Quick
-            test_cache_uncached_compile_untouched;
-          Alcotest.test_case "capacity, eviction, clear" `Quick
-            test_cache_capacity_and_eviction;
-          Alcotest.test_case "keys discriminate inputs" `Quick test_cache_keys_discriminate;
-        ] );
       ( "batch",
-        [ Alcotest.test_case "shared cache across jobs" `Quick test_compile_batch_shares_cache ] );
+        [ Alcotest.test_case "duplicate jobs identical" `Quick test_compile_batch_duplicates ] );
       ( "disable",
         [
           Alcotest.test_case "dropout disabled" `Quick test_disabled_dropout;
@@ -535,15 +385,13 @@ let () =
         ] );
       ( "irregular",
         [
-          Alcotest.test_case "non-lattice coupling, cold vs warm" `Quick
-            test_irregular_pattern_cold_vs_warm;
+          Alcotest.test_case "non-lattice coupling, repeat identical" `Quick
+            test_irregular_pattern_repeat;
         ] );
       ( "target",
         [
           Alcotest.test_case "zigzag bit-exact vs device" `Quick
             test_target_zigzag_bit_exact;
-          Alcotest.test_case "cache keys discriminate targets" `Quick
-            test_target_cache_keys_discriminate;
           Alcotest.test_case "graph targets compile clean N=8..32" `Quick
             test_graph_targets_compile_clean;
         ] );

@@ -59,11 +59,16 @@ let sample_artifacts seed n =
   ( c.Bosehedral.Compiler.plan,
     c.Bosehedral.Compiler.mapping.Bose_mapping.Mapping.permuted )
 
-(* A PR 6-era object file: v1 container, text artifacts, no format
-   line. The store must keep reading these. *)
+(* Object files written by older binaries: a v1 container (text
+   artifacts, no format line) and a v2 container with text sections.
+   The store must keep reading both. *)
 let render_v1 ~key ~meta ~plan_text ~unitary_text =
   Printf.sprintf "bosec-object 1\nkey %s\nmeta %s\nplan %d\n%sunitary %d\n%send\n" key
     meta (String.length plan_text) plan_text (String.length unitary_text) unitary_text
+
+let render_v2_text ~key ~meta ~plan_text ~unitary_text =
+  Printf.sprintf "bosec-object 2\nkey %s\nmeta %s\nformat text\nplan %d\n%sunitary %d\n%send\n"
+    key meta (String.length plan_text) plan_text (String.length unitary_text) unitary_text
 
 (* ------------------------------------------------- unitary strings *)
 
@@ -152,11 +157,12 @@ let test_mixed_version_directory () =
   let kbin = "b1b1b1b1b1b1b1b1" and ktext = "a2a2a2a2a2a2a2a2" and kv1 = "c3c3c3c3c3c3c3c3" in
   let t = Diskcache.open_ ~dir ~max_bytes:(1 lsl 20) in
   Diskcache.store t ~key:kbin ~meta:"m" ~plan ~unitary;
-  Diskcache.store ~format:Diskcache.Text t ~key:ktext ~meta:"m" ~plan ~unitary;
-  write_file
-    (Filename.concat (Filename.concat dir "objects") kv1)
+  let objects = Filename.concat dir "objects" in
+  write_file (Filename.concat objects ktext)
+    (render_v2_text ~key:ktext ~meta:"m" ~plan_text ~unitary_text);
+  write_file (Filename.concat objects kv1)
     (render_v1 ~key:kv1 ~meta:"m" ~plan_text ~unitary_text);
-  (* Reopen: the v1 file is adopted from disk like any other object. *)
+  (* Reopen: the text files are adopted from disk like any other object. *)
   let t2 = Diskcache.open_ ~dir ~max_bytes:(1 lsl 20) in
   let check_hit key expected_format label =
     match Diskcache.find t2 key with
@@ -266,6 +272,105 @@ let test_lru_eviction () =
   let s = Diskcache.stats t in
   Alcotest.(check int) "one eviction" 1 s.Diskcache.evictions;
   Alcotest.(check bool) "bound respected" true (s.Diskcache.bytes <= 2 * size)
+
+(* A writer killed between writing a temp file and renaming it leaves
+   the temp file behind, here a 3000-byte prefix of a real object in
+   objects/ and a partial index next to the index. The audit does not
+   count them as objects, and reopening removes them. *)
+let test_leftover_temp_files () =
+  with_dir @@ fun dir ->
+  let plan, unitary = sample_artifacts 17 12 in
+  let key = "dddd000011112222" in
+  let t = Diskcache.open_ ~dir ~max_bytes:(1 lsl 20) in
+  Diskcache.store t ~key ~meta:"m" ~plan ~unitary;
+  let objects = Filename.concat dir "objects" in
+  let content = read_file (Filename.concat objects key) in
+  Alcotest.(check bool) "object larger than the prefix" true (String.length content > 3000);
+  let part_object = Filename.concat objects ".part5f3a2b.tmp" in
+  let part_index = Filename.concat dir ".part0c1d2e.tmp" in
+  write_file part_object (String.sub content 0 3000);
+  write_file part_index "bosec-cache-index 1\ne dddd";
+  let issues () = List.map (Format.asprintf "%a" Diskcache.pp_issue) (Diskcache.audit dir) in
+  Alcotest.(check (list string)) "temp files are not objects" [] (issues ());
+  let t2 = Diskcache.open_ ~dir ~max_bytes:(1 lsl 20) in
+  Alcotest.(check bool) "object temp removed" false (Sys.file_exists part_object);
+  Alcotest.(check bool) "index temp removed" false (Sys.file_exists part_index);
+  Alcotest.(check (list string)) "audit clean after reopen" [] (issues ());
+  Alcotest.(check int) "only the object counts" (String.length content)
+    (Diskcache.stats t2).Diskcache.bytes;
+  Alcotest.(check bool) "entry still hits" true (Diskcache.find t2 key <> None)
+
+(* The bosec binary of the same build tree (test/dune depends on it). *)
+let bosec_exe =
+  Filename.concat
+    (Filename.concat (Filename.dirname (Filename.dirname Sys.executable_name)) "bin")
+    "bosec.exe"
+
+(* Crash consistency: a `bosec serve --cache-dir` fed N=64 compiles is
+   killed with SIGKILL, after fixed delays and as soon as a store's temp
+   file appears, until a kill lands between a write and its rename (a
+   loaded machine can let the writer finish the rename first). After
+   each kill a reopened store audits clean and every indexed key hits. *)
+let test_killed_writer () =
+  with_dir @@ fun dir ->
+  let objects = Filename.concat dir "objects" in
+  let temp_left () =
+    Array.exists
+      (String.starts_with ~prefix:".part")
+      (try Sys.readdir objects with Sys_error _ -> [||])
+  in
+  let round = ref 0 in
+  let kill_and_reopen kill_when =
+    incr round;
+    let requests =
+      String.concat ""
+        (List.init 120 (fun k ->
+             Printf.sprintf
+               {|{"id":%d,"op":"compile","params":{"modes":64,"rows":8,"cols":8,"config":"baseline","seed":%d}}|}
+               k ((1000 * !round) + k)
+             ^ "\n"))
+    in
+    let stdin_r, stdin_w = Unix.pipe ~cloexec:true () in
+    let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY; Unix.O_CLOEXEC ] 0 in
+    let pid =
+      Unix.create_process bosec_exe [| bosec_exe; "serve"; "--cache-dir"; dir |] stdin_r null
+        null
+    in
+    Unix.close stdin_r;
+    Unix.close null;
+    ignore (Unix.write_substring stdin_w requests 0 (String.length requests));
+    let label =
+      match kill_when with
+      | `After delay ->
+        Unix.sleepf delay;
+        Printf.sprintf "kill after %.0f ms" (1000. *. delay)
+      | `In_store ->
+        let deadline = Unix.gettimeofday () +. 10. in
+        while not (temp_left ()) do
+          if Unix.gettimeofday () > deadline then Alcotest.fail "no store began"
+        done;
+        Printf.sprintf "kill in store, round %d" !round
+    in
+    Unix.kill pid Sys.sigkill;
+    ignore (Unix.waitpid [] pid);
+    Unix.close stdin_w;
+    let left = temp_left () in
+    let t = Diskcache.open_ ~dir ~max_bytes:(64 lsl 20) in
+    Alcotest.(check (list string)) (label ^ ": audit clean") []
+      (List.map (Format.asprintf "%a" Diskcache.pp_issue) (Diskcache.audit dir));
+    let keys = Sys.readdir objects in
+    Alcotest.(check int) (label ^ ": every object indexed") (Array.length keys)
+      (Diskcache.stats t).Diskcache.entries;
+    Array.iter
+      (fun key ->
+         Alcotest.(check bool) (label ^ ": " ^ key ^ " hits") true
+           (Diskcache.find t key <> None))
+      keys;
+    left
+  in
+  List.iter (fun d -> ignore (kill_and_reopen (`After d))) [ 0.03; 0.09; 0.15; 0.25 ];
+  let rec in_store tries = tries > 0 && (kill_and_reopen `In_store || in_store (tries - 1)) in
+  Alcotest.(check bool) "a kill left a temp file behind" true (in_store 10)
 
 (* ------------------------------------------------- request engine *)
 
@@ -447,15 +552,15 @@ let test_restart_disk_hit_bit_identical () =
     (get_str [ "result"; "format" ] r1);
   (* The write-through makes a repeat request a disk hit immediately,
      so the reply skips the compile machinery entirely (with a store
-     attached there is no pass cache at all). *)
+     attached there is no memory tier at all). *)
   let r2 = Serve.handle_line t1 (compile_req ~id:2 ~seed:42) in
   Alcotest.(check (option string)) "warm in-process" (Some "disk")
     (get_str [ "result"; "cached" ] r2);
   Alcotest.(check (option string)) "disk hit reports stored format" (Some "binary")
     (get_str [ "result"; "format" ] r2);
   Serve.shutdown t1;
-  (* Without a disk store, the warm path is the in-memory pass cache:
-     every pass replays its recorded artifact, bit-identically. *)
+  (* Without a disk store, the warm path is the memory tier: the
+     key's stored answer, bit-identically. *)
   let tm = Serve.create () in
   let m1 = Serve.handle_line tm (compile_req ~id:10 ~seed:42) in
   let m2 = Serve.handle_line tm (compile_req ~id:11 ~seed:42) in
@@ -463,7 +568,7 @@ let test_restart_disk_hit_bit_identical () =
     (get_str [ "result"; "cached" ] m1);
   Alcotest.(check (option string)) "no disk: nothing persisted" (Some "none")
     (get_str [ "result"; "format" ] m1);
-  Alcotest.(check (option string)) "no disk: pass-cache hit" (Some "mem")
+  Alcotest.(check (option string)) "no disk: memory hit" (Some "mem")
     (get_str [ "result"; "cached" ] m2);
   List.iter
     (fun field ->
@@ -494,7 +599,8 @@ let test_restart_disk_hit_bit_identical () =
    unitary with different seeds (the key excludes the seed) plus a
    seed-form compile, so at jobs 2 the two distinct keys go over the
    pool. Every reply for the key must carry the first compile's
-   artifacts, as must a later request for it. *)
+   artifacts, as must later requests for it — under the first seed and
+   under a new one — from the store or the memory tier. *)
 let test_batch_one_compile_per_key () =
   let text = Unitary.to_string (Unitary.haar_random (Rng.create 77) 16) in
   let req id seed =
@@ -513,6 +619,7 @@ let test_batch_one_compile_per_key () =
        let t = Serve.create ~jobs ?cache_dir:(if store then Some dir else None) () in
        let replies = Serve.handle_many t [ req 1 1; compile_req ~id:2 ~seed:5; req 3 2 ] in
        let later = Serve.handle_line t (req 4 1) in
+       let reseeded = Serve.handle_line t (req 5 3) in
        (match replies with
         | [ first; other; dup ] ->
           Alcotest.(check bool) (label ^ ": other ok") true (ok_reply other);
@@ -527,15 +634,91 @@ let test_batch_one_compile_per_key () =
                Alcotest.(check (option (float 0.)))
                  (Printf.sprintf "%s: %s fidelity" label what)
                  (get_num [ "result"; "fidelity" ] first) (get_num [ "result"; "fidelity" ] r))
-            [ ("duplicate", dup); ("later", later) ];
+            [ ("duplicate", dup); ("later", later); ("reseeded", reseeded) ];
           Alcotest.(check (option string)) (label ^ ": first compiles") (Some "none")
             (get_str [ "result"; "cached" ] first);
-          Alcotest.(check (option string)) (label ^ ": duplicate")
-            (Some (if store then "disk" else "mem"))
-            (get_str [ "result"; "cached" ] dup)
+          List.iter
+            (fun (what, r) ->
+               Alcotest.(check (option string)) (label ^ ": " ^ what ^ " cached")
+                 (Some (if store then "disk" else "mem"))
+                 (get_str [ "result"; "cached" ] r))
+            [ ("duplicate", dup); ("later", later); ("reseeded", reseeded) ]
         | _ -> Alcotest.fail "three replies expected");
        Serve.shutdown t)
     [ (2, false); (2, true); (1, false); (1, true) ]
+
+(* The memory tier keeps whole answers under a byte bound: with 1 MiB
+   and four distinct N=64 compiles (~0.38 MB of plan and unitary text
+   each) it holds two. The oldest key is gone and recompiles; the
+   newest answers from memory with its first bytes, even under another
+   seed (map polish draws from the seed's stream). *)
+let test_memory_tier_byte_bound () =
+  let texts =
+    Array.init 4 (fun k -> Unitary.to_string (Unitary.haar_random (Rng.create (600 + k)) 64))
+  in
+  let req id k seed =
+    Json.to_string
+      (Json.Obj
+         [
+           ("id", Json.Num (float_of_int id));
+           ("op", Json.Str "compile");
+           ( "params",
+             Json.Obj
+               [
+                 ("unitary", Json.Str texts.(k));
+                 ("rows", Json.Num 8.);
+                 ("cols", Json.Num 8.);
+                 ("config", Json.Str "full-opt");
+                 ("effort", Json.Str "fast");
+                 ("seed", Json.Num (float_of_int seed));
+               ] );
+         ])
+  in
+  let t = Serve.create ~max_cache_mb:1 () in
+  let first = Array.init 4 (fun k -> Serve.handle_line t (req k k 1)) in
+  let text_bytes r =
+    List.fold_left
+      (fun acc f -> acc + String.length (Option.get (get_str [ "result"; f ] r)))
+      0 [ "plan"; "unitary" ]
+  in
+  let smallest = Array.fold_left (fun acc r -> min acc (text_bytes r)) max_int first in
+  Alcotest.(check bool) "each answer is over a quarter MiB" true (4 * smallest > 1 lsl 20);
+  let mem_cache field =
+    match get_num [ "result"; "mem_cache"; field ] (Serve.handle_line t {|{"op":"stats"}|}) with
+    | Some x -> int_of_float x
+    | None -> Alcotest.fail ("stats has no mem_cache." ^ field)
+  in
+  let entries = mem_cache "entries" in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d entries fit in 1 MiB" entries)
+    true
+    (entries >= 1 && entries * smallest <= 1 lsl 20);
+  let newest = Serve.handle_line t (req 10 3 2) in
+  Alcotest.(check (option string)) "newest from memory" (Some "mem")
+    (get_str [ "result"; "cached" ] newest);
+  List.iter
+    (fun field ->
+       Alcotest.(check (option string)) ("newest " ^ field)
+         (get_str [ "result"; field ] first.(3)) (get_str [ "result"; field ] newest))
+    [ "key"; "plan"; "unitary" ];
+  Alcotest.(check (option (float 0.))) "newest fidelity"
+    (get_num [ "result"; "fidelity" ] first.(3)) (get_num [ "result"; "fidelity" ] newest);
+  let oldest = Serve.handle_line t (req 11 0 1) in
+  Alcotest.(check (option string)) "oldest evicted, recompiled" (Some "none")
+    (get_str [ "result"; "cached" ] oldest);
+  Alcotest.(check (option string)) "recompile under its seed: same plan"
+    (get_str [ "result"; "plan" ] first.(0)) (get_str [ "result"; "plan" ] oldest);
+  (* Counted per request: one hit, five misses. *)
+  Alcotest.(check int) "hits" 1 (mem_cache "hits");
+  Alcotest.(check int) "misses" 5 (mem_cache "misses");
+  Serve.shutdown t;
+  (* The reseeded reply above is a real check: compiled cold under seed
+     2, the newest key's fidelity differs. *)
+  let fresh = Serve.create () in
+  Alcotest.(check bool) "seed 2 compiles another policy" false
+    (get_num [ "result"; "fidelity" ] (Serve.handle_line fresh (req 12 3 2))
+     = get_num [ "result"; "fidelity" ] first.(3));
+  Serve.shutdown fresh
 
 (* ------------------------------------------------------- targets *)
 
@@ -765,6 +948,10 @@ let () =
           Alcotest.test_case "audit reports BH12xx" `Quick test_audit_reports_bh12xx;
           Alcotest.test_case "LRU eviction under the size bound" `Quick
             test_lru_eviction;
+          Alcotest.test_case "leftover temp files removed on open" `Quick
+            test_leftover_temp_files;
+          Alcotest.test_case "writer killed mid-store, reopen clean" `Quick
+            test_killed_writer;
         ] );
       ( "protocol",
         [
@@ -776,6 +963,8 @@ let () =
             test_restart_disk_hit_bit_identical;
           Alcotest.test_case "one compile per key in a batch" `Quick
             test_batch_one_compile_per_key;
+          Alcotest.test_case "memory tier bounded in bytes" `Quick
+            test_memory_tier_byte_bound;
         ] );
       ( "target",
         [
