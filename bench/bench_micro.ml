@@ -39,6 +39,7 @@ let g_target_rotations = Obs.Gauge.make "bench.target_rotations"
 let g_target_kept = Obs.Gauge.make "bench.target_kept"
 let g_target_fidelity = Obs.Gauge.make "bench.target_fidelity"
 let g_target_depth = Obs.Gauge.make "bench.target_depth"
+let g_call_us = Obs.Gauge.make "bench.call_us"
 
 (* Boxed get/set reference implementations: what the flat kernels are
    measured against, and what they replaced. *)
@@ -355,6 +356,46 @@ let sweep_throughput_row ~n =
   Printf.printf "sweep-kernel-%-14d %9.1f Melem/s (%s path, %d rots/pass, %d iters)\n" n
     melems path rots iters
 
+(* Per-call wall time of one small-N kernel that a serve-cold miss
+   repeats hundreds of times: a map-polish score ([score-walk-24],
+   Eliminate.angles_into along a 6x6 lattice embedding), a dropout
+   replay with one rotation in eight masked out ([masked-replay-24],
+   Plan.fidelity on a workspace), and a Haar draw ([haar-32]). Best of
+   20 batches, timed with telemetry off as `bosec serve` runs them (the
+   per-rotation angle histogram would otherwise dominate the walk). *)
+let call_us_row ~row ~iters f =
+  Benchlib.Telemetry.row ~experiment:"micro" ~row @@ fun () ->
+  Obs.disable ();
+  f ();
+  let best = ref Float.infinity in
+  for _ = 1 to 20 do
+    let t0 = Unix.gettimeofday () in
+    for _ = 1 to iters do
+      f ()
+    done;
+    best := Float.min !best ((Unix.gettimeofday () -. t0) /. float_of_int iters)
+  done;
+  Obs.enable ();
+  Obs.Gauge.set g_call_us (1e6 *. !best);
+  Printf.printf "%-28s %9.2f us/call\n" row (1e6 *. !best)
+
+let small_kernel_rows () =
+  let n = 24 in
+  let u = Unitary.haar_random (Rng.create 24) n in
+  let pattern = Embedding.for_program (Lattice.create ~rows:6 ~cols:6) n in
+  let sched = Eliminate.schedule pattern in
+  let work = Mat.create n n in
+  let angles = Array.make (Eliminate.rotation_count sched) 0. in
+  call_us_row ~row:"score-walk-24" ~iters:200 (fun () ->
+      Eliminate.angles_into sched ~work u angles);
+  let plan = Eliminate.decompose pattern u in
+  let kept = Array.init (Plan.rotation_count plan) (fun i -> i mod 8 <> 5) in
+  let ws = Mat.workspace () in
+  call_us_row ~row:"masked-replay-24" ~iters:200 (fun () ->
+      ignore (Plan.fidelity ~ws ~kept plan u));
+  let rng = Rng.create 32 in
+  call_us_row ~row:"haar-32" ~iters:50 (fun () -> ignore (Unitary.haar_random rng 32))
+
 (* Elimination throughput at the paper's N=500 tier: Eliminate.decompose
    of a Haar unitary along the chain pattern, best of three. Unlike the
    disjoint pairs of sweep-kernel-*, the chain's stages rotate adjacent
@@ -604,6 +645,7 @@ let run () =
   sweep_throughput_row ~n:128;
   sweep_throughput_row ~n:256;
   sweep_throughput_row ~n:500;
+  small_kernel_rows ();
   eliminate_row ~n:500;
   analyze_row ~n:500 ~rows:20 ~cols:25;
   batch_compile_scaling ~n:32 ~rows:6 ~cols:6 ~job_count:8;

@@ -15,6 +15,9 @@ val decompose :
     reuses the workspace's slot-0 scratch as the elimination work matrix
     instead of allocating a fresh copy of [u].
 
+    Below [Mat.blocking_threshold] the per-call engine eliminates a
+    transposed copy, so each column rotation runs at unit stride over
+    the rows it must update (docs/ARCHITECTURE.md, small-N engines).
     At N ≥ [Mat.blocking_threshold] the elimination switches to the
     fused sweep engine: each stage derives its rotations serially on
     the stage row, then applies the packed stage to the rows above it —
@@ -42,8 +45,10 @@ val angles_into :
     {!rotation_count}) — bit-identical to
     [Plan.angles (decompose pattern u)], with the same engine choice and
     the same telemetry, but without building the plan or Λ. [work] is
-    scratch: [u] is copied into it and eliminated by the same walk as
-    {!decompose}. Allocates no matrix.
+    scratch: [u] is copied into it (transposed below
+    [Mat.blocking_threshold]) and eliminated by the same walk as
+    {!decompose}. Allocates no matrix, and below the threshold nothing
+    per rotation.
     @raise Invalid_argument on a size mismatch. *)
 
 val decompose_baseline :

@@ -25,13 +25,20 @@ let small_angle_count t ~threshold =
 (* Replay Λ·T_K⋯T_1 into [dst], which must be modes×modes. Shared by
    the allocating [reconstruct] and the workspace-backed [fidelity].
 
-   At modes ≥ [Mat.blocking_threshold] the replay is fused: the whole
-   rotation string is packed once and applied through the sweep kernel,
+   Below [Mat.blocking_threshold] [dst] holds the transpose during the
+   replay (Λ is diagonal, so it starts out equal to its transpose):
+   each right-multiplication by T is one unit-stride rotation of a row
+   pair ([Mat.rot_cols_t_transposed]), and one in-place transpose at
+   the end puts the result back. Every entry gets the same arithmetic
+   as a column rotation of [dst] itself.
+
+   At or above the threshold the replay is fused: the whole rotation
+   string is packed once and applied through the sweep kernel,
    row-chunked across [?pool]. Unlike the elimination engines, nothing
    is derived mid-replay, so the entire string is a single commuting
    front per row; identity rotations are pushed too, mirroring the
-   legacy loop which also sends them through the kernel. Engine choice
-   is by size only, so replay bits never depend on the pool. *)
+   per-call loop which also sends them through the kernel. Engine
+   choice is by size only, so replay bits never depend on the pool. *)
 let fused_threshold = Mat.blocking_threshold
 
 let reconstruct_into ?pool ?kept ~dst t =
@@ -56,10 +63,13 @@ let reconstruct_into ?pool ?kept ~dst t =
     Bose_par.Pool.bulk_iter pool ~n:t.modes (fun ~lo ~hi ->
         Mat.sweep_cols_post dst seq ~rot_lo:0 ~rot_hi:count ~row_lo:lo ~row_hi:hi)
   end
-  else
+  else begin
     for i = count - 1 downto 0 do
-      Givens.apply_t_right dst (masked i t.elements.(i).rotation)
-    done
+      let { Givens.m; n; c; s; ere; eim } = masked i t.elements.(i).rotation in
+      Mat.rot_cols_t_transposed dst ~m ~n ~c ~s ~ere ~eim
+    done;
+    Mat.transpose_inplace dst
+  end
 
 let reconstruct ?pool ?kept t =
   let u = Mat.create t.modes t.modes in

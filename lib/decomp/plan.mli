@@ -34,7 +34,9 @@ val reconstruct : ?pool:Bose_par.Pool.t -> ?kept:bool array -> t -> Bose_linalg.
     replayed with θ = 0 (beamsplitter dropped, phase kept), giving the
     approximated unitary U_app of §VI.
 
-    At modes ≥ [Mat.blocking_threshold] the replay packs the whole
+    Below [Mat.blocking_threshold] modes the replay rotates a
+    transposed target at unit stride and transposes it back once at
+    the end. At modes ≥ [Mat.blocking_threshold] it packs the whole
     rotation string into one fused sweep and row-chunks it across
     [?pool]. Engine choice depends only on the plan size, so the
     replayed bits are identical at every pool size. *)
@@ -42,7 +44,8 @@ val reconstruct : ?pool:Bose_par.Pool.t -> ?kept:bool array -> t -> Bose_linalg.
 val reconstruct_into :
   ?pool:Bose_par.Pool.t -> ?kept:bool array -> dst:Bose_linalg.Mat.t -> t -> unit
 (** {!reconstruct} into a caller-owned [dst] (modes×modes, overwritten)
-    — the allocation-free replay used by workspace-backed callers. *)
+    — the allocation-free replay used by workspace-backed callers.
+    @raise Invalid_argument if [kept] does not have one flag per rotation. *)
 
 val fidelity :
   ?ws:Bose_linalg.Mat.workspace ->

@@ -87,6 +87,39 @@ val solve_left : Mat.t -> col:int -> m:int -> n:int -> rotation
 (** The rotation {!eliminate_left} would apply, without mutating
     anything — the derivation step of the fused elimination engines. *)
 
+(** {1 Unboxed derivation}
+
+    The per-call elimination engine derives each rotation into one
+    reusable {!quad} instead of a fresh {!rotation}: the same
+    arithmetic as {!solve}, with the entries read straight off the
+    matrix and the result kept in flat float storage, so a score-only
+    walk allocates nothing per rotation. *)
+
+type quad = {
+  mutable qc : float;  (** cos θ *)
+  mutable qs : float;  (** sin θ *)
+  mutable qere : float;  (** Re e^{iφ} *)
+  mutable qeim : float;  (** Im e^{iφ} *)
+}
+
+val quad : unit -> quad
+(** A fresh quadruple, initialised to the identity rotation. *)
+
+val of_quad : m:int -> n:int -> quad -> rotation
+(** The rotation on qumodes [m], [n] that [quad] holds. *)
+
+val quad_theta : quad -> float
+(** {!theta} of the rotation [quad] holds: atan2 [qs] [qc]. *)
+
+val eliminate_transposed : quad -> Mat.t -> row:int -> m:int -> n:int -> unit
+(** [eliminate_transposed q wt ~row ~m ~n], where [wt] holds uᵀ:
+    derives into [q] the rotation [eliminate ~nrows:(row + 1) u ~row ~m ~n]
+    would, and makes the same update to uᵀ — rows [m] and [n] of [wt]
+    over columns [0 .. row] (see {!Mat.rot_cols_t_dagger_transposed}),
+    then pins u(row, m) to zero. Skips both for the identity, as
+    {!eliminate} does. Bit-identical to {!eliminate} entry for entry.
+    @raise Invalid_argument on an out-of-range index. *)
+
 val is_identity : rotation -> bool
 (** Whether the rotation is the exact identity quadruple (s = 0,
     e^{iφ} = 1) — the nothing-to-eliminate case. {!eliminate} and

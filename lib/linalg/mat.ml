@@ -50,7 +50,7 @@ let cols m = m.ncols
 
 let[@inline] idx m i j = (i * m.ncols) + j
 
-let check_index m i j name =
+let[@inline] check_index m i j name =
   if i < 0 || i >= m.nrows || j < 0 || j >= m.ncols then invalid_arg (name ^ ": index out of bounds")
 
 let get m i j : Cx.t =
@@ -63,6 +63,16 @@ let set m i j (v : Cx.t) =
   let k = idx m i j in
   A1.unsafe_set m.re k v.Complex.re;
   A1.unsafe_set m.im k v.Complex.im
+
+(* Component reads without a boxed Cx.t, for derivations that consume
+   the two parts as plain floats. Inlined, so the floats stay unboxed. *)
+let[@inline] get_re m i j =
+  check_index m i j "Mat.get_re";
+  A1.unsafe_get m.re (idx m i j)
+
+let[@inline] get_im m i j =
+  check_index m i j "Mat.get_im";
+  A1.unsafe_get m.im (idx m i j)
 
 let fill_zero m =
   A1.fill m.re 0.;
@@ -118,7 +128,40 @@ let blit src dst =
   A1.blit src.re dst.re;
   A1.blit src.im dst.im
 
-let transpose m = init m.ncols m.nrows (fun i j -> get m j i)
+let transpose_into ~src ~dst =
+  if dst.nrows <> src.ncols || dst.ncols <> src.nrows then
+    invalid_arg "Mat.transpose_into: dst shape mismatch";
+  if dst.re == src.re then invalid_arg "Mat.transpose_into: dst aliases src";
+  let sre = src.re and sim = src.im and dre = dst.re and dim = dst.im in
+  let nr = src.nrows and nc = src.ncols in
+  for i = 0 to nr - 1 do
+    let base = i * nc in
+    for j = 0 to nc - 1 do
+      let d = (j * nr) + i in
+      A1.unsafe_set dre d (A1.unsafe_get sre (base + j));
+      A1.unsafe_set dim d (A1.unsafe_get sim (base + j))
+    done
+  done
+
+let transpose m =
+  let t = create m.ncols m.nrows in
+  transpose_into ~src:m ~dst:t;
+  t
+
+let transpose_inplace m =
+  if m.nrows <> m.ncols then invalid_arg "Mat.transpose_inplace: square matrices only";
+  let n = m.ncols and re = m.re and im = m.im in
+  for i = 0 to n - 1 do
+    for j = i + 1 to n - 1 do
+      let a = (i * n) + j and b = (j * n) + i in
+      let tre = A1.unsafe_get re a and tim = A1.unsafe_get im a in
+      A1.unsafe_set re a (A1.unsafe_get re b);
+      A1.unsafe_set im a (A1.unsafe_get im b);
+      A1.unsafe_set re b tre;
+      A1.unsafe_set im b tim
+    done
+  done
+
 let conj m = init m.nrows m.ncols (fun i j -> Cx.conj (get m i j))
 let adjoint m = init m.ncols m.nrows (fun i j -> Cx.conj (get m j i))
 
@@ -534,7 +577,94 @@ let unitary_fidelity u_app u =
   done;
   sqrt ((!tre *. !tre) +. (!tim *. !tim)) /. float_of_int u.nrows
 
-let check_rot m n name =
+(* Householder QR. For column k, build v = x + e^{i·arg x₀}‖x‖·e₀ and
+   reflect the trailing block of r and the trailing columns of q. Every
+   entry gets the arithmetic of the boxed Cx formulation (conj v·r
+   written out as (vr·zr − (−vi)·zi, vr·zi + (−vi)·zr), and so on), in
+   the same order: the dot products of the r update accumulate row by
+   row, all columns at once, which keeps each column's own summation
+   order (i ascending, from +0) while reading r at unit stride. *)
+let qr a =
+  if a.nrows <> a.ncols then invalid_arg "Mat.qr: square matrices only";
+  let n = a.nrows in
+  let r = copy a in
+  let q = identity n in
+  let rre = r.re and rim = r.im and qre = q.re and qim = q.im in
+  let vre = Array.make n 0. and vim = Array.make n 0. in
+  let dre = Array.make n 0. and dim = Array.make n 0. in
+  for k = 0 to n - 2 do
+    let m = n - k in
+    let norm2 = ref 0. in
+    for i = 0 to m - 1 do
+      let p = ((k + i) * n) + k in
+      let xre = A1.unsafe_get rre p and xim = A1.unsafe_get rim p in
+      vre.(i) <- xre;
+      vim.(i) <- xim;
+      norm2 := !norm2 +. ((xre *. xre) +. (xim *. xim))
+    done;
+    let norm_x = sqrt !norm2 in
+    if norm_x > 1e-300 then begin
+      let x0 = Cx.make vre.(0) vim.(0) in
+      let phase = if Cx.abs x0 = 0. then Cx.one else Cx.exp_i (Cx.arg x0) in
+      let v0 = Cx.( +: ) x0 (Cx.( *: ) phase (Cx.re norm_x)) in
+      vre.(0) <- v0.Complex.re;
+      vim.(0) <- v0.Complex.im;
+      let norm_v2 = ref 0. in
+      for i = 0 to m - 1 do
+        norm_v2 := !norm_v2 +. ((vre.(i) *. vre.(i)) +. (vim.(i) *. vim.(i)))
+      done;
+      if !norm_v2 > 1e-300 then begin
+        let beta = 2. /. !norm_v2 in
+        (* r ← (I − β v v†) r on rows k..n-1 *)
+        Array.fill dre k m 0.;
+        Array.fill dim k m 0.;
+        for i = 0 to m - 1 do
+          let vr = vre.(i) and cvi = -.vim.(i) in
+          let base = (k + i) * n in
+          for j = k to n - 1 do
+            let zr = A1.unsafe_get rre (base + j) and zi = A1.unsafe_get rim (base + j) in
+            Array.unsafe_set dre j (Array.unsafe_get dre j +. ((vr *. zr) -. (cvi *. zi)));
+            Array.unsafe_set dim j (Array.unsafe_get dim j +. ((vr *. zi) +. (cvi *. zr)))
+          done
+        done;
+        for j = k to n - 1 do
+          dre.(j) <- beta *. dre.(j);
+          dim.(j) <- beta *. dim.(j)
+        done;
+        for i = 0 to m - 1 do
+          let vr = vre.(i) and vi = vim.(i) in
+          let base = (k + i) * n in
+          for j = k to n - 1 do
+            let sr = Array.unsafe_get dre j and si = Array.unsafe_get dim j in
+            let p = base + j in
+            A1.unsafe_set rre p (A1.unsafe_get rre p -. ((vr *. sr) -. (vi *. si)));
+            A1.unsafe_set rim p (A1.unsafe_get rim p -. ((vr *. si) +. (vi *. sr)))
+          done
+        done;
+        (* q ← q (I − β v v†) on columns k..n-1 *)
+        for i = 0 to n - 1 do
+          let base = (i * n) + k in
+          let accre = ref 0. and accim = ref 0. in
+          for j = 0 to m - 1 do
+            let yr = A1.unsafe_get qre (base + j) and yi = A1.unsafe_get qim (base + j) in
+            let vr = Array.unsafe_get vre j and vi = Array.unsafe_get vim j in
+            accre := !accre +. ((yr *. vr) -. (yi *. vi));
+            accim := !accim +. ((yr *. vi) +. (yi *. vr))
+          done;
+          let sr = beta *. !accre and si = beta *. !accim in
+          for j = 0 to m - 1 do
+            let vr = Array.unsafe_get vre j and cvi = -.Array.unsafe_get vim j in
+            let p = base + j in
+            A1.unsafe_set qre p (A1.unsafe_get qre p -. ((sr *. vr) -. (si *. cvi)));
+            A1.unsafe_set qim p (A1.unsafe_get qim p -. ((sr *. cvi) +. (si *. vr)))
+          done
+        done
+      end
+    end
+  done;
+  (q, r)
+
+let[@inline] check_rot m n name =
   if m < 0 || n < 0 || m = n then invalid_arg (name ^ ": bad index pair")
 
 (* Debug-only kernel guard, compiled out by -noassert (the release
@@ -632,14 +762,14 @@ let blocking_threshold = 128
 let lock_release_count = Atomic.make 0
 let lock_releases () = Atomic.get lock_release_count
 
-let rot_pre re im count km kn stride c s ere eim =
+let[@inline] rot_pre re im count km kn stride c s ere eim =
   if count >= blocking_threshold then begin
     Atomic.incr lock_release_count;
     rot_pre_blk re im count km kn stride c s ere eim
   end
   else rot_pre_fast re im count km kn stride c s ere eim
 
-let rot_post re im count km kn stride c s ere eim =
+let[@inline] rot_post re im count km kn stride c s ere eim =
   if count >= blocking_threshold then begin
     Atomic.incr lock_release_count;
     rot_post_blk re im count km kn stride c s ere eim
@@ -697,6 +827,32 @@ let rot_rows_t_dagger_cs u ~m ~n ~c ~s ~ere ~eim =
   if m >= u.nrows || n >= u.nrows then invalid_arg "Mat.rot_rows_t_dagger: row out of bounds";
   assert (rot_params_sane c s ere eim);
   rot_post u.re u.im u.ncols (m * u.ncols) (n * u.ncols) 1 c s ere (-.eim)
+
+(* Column rotations of a matrix u kept transposed: [wt] holds uᵀ, so
+   column j of u is the contiguous row j of [wt], and a column rotation
+   of u is a unit-stride rotation of a row pair of [wt]. Each entry of
+   u goes through the same C element body, with the same arguments, as
+   under [rot_cols_t_dagger_cs] / [rot_cols_t_cs] on u itself; only its
+   address differs. *)
+
+(* u ← u·T† on rows 0..nrows-1 of u: columns 0..nrows-1 of rows m and
+   n of [wt]. *)
+let[@inline] rot_cols_t_dagger_transposed ~nrows wt ~m ~n ~c ~s ~ere ~eim =
+  check_rot m n "Mat.rot_cols_t_dagger_transposed";
+  if m >= wt.nrows || n >= wt.nrows then
+    invalid_arg "Mat.rot_cols_t_dagger_transposed: column out of bounds";
+  if nrows < 0 || nrows > wt.ncols then
+    invalid_arg "Mat.rot_cols_t_dagger_transposed: bad nrows";
+  assert (rot_params_sane c s ere eim);
+  rot_pre wt.re wt.im nrows (m * wt.ncols) (n * wt.ncols) 1 c s ere (-.eim)
+
+(* u ← u·T: the whole of rows m and n of [wt]. *)
+let[@inline] rot_cols_t_transposed wt ~m ~n ~c ~s ~ere ~eim =
+  check_rot m n "Mat.rot_cols_t_transposed";
+  if m >= wt.nrows || n >= wt.nrows then
+    invalid_arg "Mat.rot_cols_t_transposed: column out of bounds";
+  assert (rot_params_sane c s ere eim);
+  rot_post wt.re wt.im wt.ncols (m * wt.ncols) (n * wt.ncols) 1 c s ere eim
 
 let rot_cols_t_dagger u ~m ~n ~theta ~phi =
   rot_cols_t_dagger_cs u ~m ~n ~c:(cos theta) ~s:(sin theta) ~ere:(cos phi) ~eim:(sin phi)

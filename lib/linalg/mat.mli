@@ -33,6 +33,12 @@ val cols : t -> int
 val get : t -> int -> int -> Cx.t
 val set : t -> int -> int -> Cx.t -> unit
 
+val get_re : t -> int -> int -> float
+val get_im : t -> int -> int -> float
+(** The real and imaginary parts of one entry, read without building a
+    [Cx.t] (inlined: the floats stay unboxed in the caller).
+    @raise Invalid_argument on an out-of-range index. *)
+
 val init : int -> int -> (int -> int -> Cx.t) -> t
 val of_arrays : Cx.t array array -> t
 (** Copies its input. @raise Invalid_argument on empty input, a zero
@@ -56,6 +62,14 @@ val set_identity : t -> unit
 (** In-place: zero, then ones on the main diagonal. *)
 
 val transpose : t -> t
+
+val transpose_into : src:t -> dst:t -> unit
+(** [dst ← srcᵀ]. @raise Invalid_argument unless [dst] is
+    [cols src × rows src] and distinct from [src]. *)
+
+val transpose_inplace : t -> unit
+(** In-place [m ← mᵀ]. @raise Invalid_argument on a non-square [m]. *)
+
 val conj : t -> t
 val adjoint : t -> t
 (** Conjugate transpose. *)
@@ -147,6 +161,14 @@ val unitary_fidelity : t -> t -> float
     approximation-fidelity metric (§VII-A). Both must be N×N.
     Computed elementwise in O(N²). *)
 
+val qr : t -> t * t
+(** [qr a] = (q, r) with [a = q·r], [q] unitary and [r] upper
+    triangular, via Householder reflections over the flat planes (the
+    engine of [Unitary.qr]). Each column's reflector dot products
+    accumulate row by row in the column's own order, so the bits are
+    those of the entry-at-a-time [Cx] formulation.
+    @raise Invalid_argument on a non-square [a]. *)
+
 val rot_cols_t_dagger : t -> m:int -> n:int -> theta:float -> phi:float -> unit
 (** In-place [u ← u · T_{m,n}(θ,φ)†] — the elimination kernel, touching
     only columns [m] and [n]. Allocation-free; this is the hot loop of
@@ -183,6 +205,28 @@ val rot_rows_t_cs :
 
 val rot_rows_t_dagger_cs :
   t -> m:int -> n:int -> c:float -> s:float -> ere:float -> eim:float -> unit
+
+(** {2 Column rotations of a transposed matrix}
+
+    The small-N elimination and replay engines keep their scratch
+    transposed: [wt] holds uᵀ, so column j of u is the contiguous row j
+    of [wt], and a column rotation of u is one unit-stride rotation of a
+    row pair of [wt]. Each entry of u gets the same element arithmetic,
+    with the same arguments, as under {!rot_cols_t_dagger_cs} /
+    {!rot_cols_t_cs} applied to u itself — the bits are identical, only
+    the addresses differ. *)
+
+val rot_cols_t_dagger_transposed :
+  nrows:int -> t -> m:int -> n:int -> c:float -> s:float -> ere:float -> eim:float -> unit
+(** [rot_cols_t_dagger_transposed ~nrows wt …] makes to uᵀ the update
+    [rot_cols_t_dagger_cs ~nrows] makes to u: [u ← u · T†] on rows
+    [0 .. nrows-1] of u, i.e. columns [0 .. nrows-1] of rows [m] and [n]
+    of [wt]. @raise Invalid_argument on a bad index pair or [nrows]. *)
+
+val rot_cols_t_transposed :
+  t -> m:int -> n:int -> c:float -> s:float -> ere:float -> eim:float -> unit
+(** [rot_cols_t_transposed wt …] makes to uᵀ the update {!rot_cols_t_cs}
+    makes to u: [u ← u · T], rows [m] and [n] of [wt] in full. *)
 
 (** {1 Fused rotation sweeps}
 

@@ -1,52 +1,8 @@
-open Cx
 module Rng = Bose_util.Rng
 module Fnv = Bose_util.Fnv
 module Text = Bose_util.Artifact_text
 
-(* Householder QR. For column k, build v = x + e^{i·arg x₀}‖x‖·e₀ and
-   reflect the trailing block of r and the trailing columns of q. *)
-let qr a =
-  let n = Mat.rows a in
-  if Mat.cols a <> n then invalid_arg "Unitary.qr: square matrices only";
-  let r = Mat.copy a in
-  let q = Mat.identity n in
-  for k = 0 to n - 2 do
-    let m = n - k in
-    let x = Array.init m (fun i -> Mat.get r (k + i) k) in
-    let norm_x = sqrt (Array.fold_left (fun acc z -> acc +. Cx.abs2 z) 0. x) in
-    if norm_x > 1e-300 then begin
-      let phase = if Cx.abs x.(0) = 0. then Cx.one else Cx.exp_i (Cx.arg x.(0)) in
-      let v = Array.copy x in
-      v.(0) <- v.(0) +: (phase *: Cx.re norm_x);
-      let norm_v2 = Array.fold_left (fun acc z -> acc +. Cx.abs2 z) 0. v in
-      if norm_v2 > 1e-300 then begin
-        let beta = 2. /. norm_v2 in
-        (* r ← (I − β v v†) r on rows k..n-1 *)
-        for j = k to n - 1 do
-          let dot = ref Cx.zero in
-          for i = 0 to m - 1 do
-            dot := !dot +: (Cx.conj v.(i) *: Mat.get r (k + i) j)
-          done;
-          let s = Cx.scale beta !dot in
-          for i = 0 to m - 1 do
-            Mat.set r (k + i) j (Mat.get r (k + i) j -: (v.(i) *: s))
-          done
-        done;
-        (* q ← q (I − β v v†) on columns k..n-1 *)
-        for i = 0 to n - 1 do
-          let dot = ref Cx.zero in
-          for j = 0 to m - 1 do
-            dot := !dot +: (Mat.get q i (k + j) *: v.(j))
-          done;
-          let s = Cx.scale beta !dot in
-          for j = 0 to m - 1 do
-            Mat.set q i (k + j) (Mat.get q i (k + j) -: (s *: Cx.conj v.(j)))
-          done
-        done
-      end
-    end
-  done;
-  (q, r)
+let qr = Mat.qr
 
 let ginibre rng n =
   Mat.init n n (fun _ _ ->

@@ -509,8 +509,8 @@ let mem_reply t id req a =
 
 (* The stored answer to a compile, disk else memory, or [None]. *)
 let lookup t id (req : compile_req) =
-  match Option.map (fun d -> Diskcache.find d req.key) t.disk with
-  | Some (Some hit) ->
+  match Option.map (fun d -> (d, Diskcache.find d req.key)) t.disk with
+  | Some (d, Some hit) ->
     (match parse_meta hit.Diskcache.meta with
      | Some (fidelity, rotations, modes, target) ->
        count_compile t `Disk;
@@ -527,10 +527,12 @@ let lookup t id (req : compile_req) =
                  unitary_text = Unitary.to_string hit.Diskcache.unitary;
                }))
      | None ->
-       (* Readable object, unreadable meta: recompile and let the
-          write-through repair the entry. *)
+       (* Readable object, unreadable meta: move it aside so the
+          recompile's write-through stores a fresh object (a store on
+          an indexed key would only refresh its recency). *)
+       Diskcache.quarantine d req.key;
        None)
-  | Some None -> None
+  | Some (_, None) -> None
   | None -> Option.map (mem_reply t id req) (Option.bind t.mem (fun m -> Mem.find m req.key))
 
 (* A later request in the batch for a key compiled earlier in it: the

@@ -121,6 +121,13 @@ val store :
     @raise Invalid_argument on an invalid key, a [meta] containing a
     newline, or artifacts disagreeing on the mode count. *)
 
+val quarantine : t -> string -> unit
+(** [quarantine t key] moves the key's object to [quarantine/] and
+    drops it from the index, so the next {!store} of the key writes a
+    fresh object. For an object that reads back cleanly but whose
+    content the caller cannot use (an unparsable meta line); {!find}
+    already quarantines what it cannot read. *)
+
 val stats : t -> stats
 (** Lifetime totals since {!open_}. *)
 

@@ -1,11 +1,14 @@
 (* Reference implementations kept for the bit-identity tests in
-   test_oracle.ml: the elimination schedule builder, the decomposition,
-   the mapping polish loop, the dropout policy search and the
-   xoshiro256** generator as they were before the per-trial overhead
-   was taken out of polish and dropout, the Printf/Scanf text codecs
-   of Plan and Unitary, and the per-byte JSON string printer. They are
-   slow on purpose — full decompositions per trial, full-matrix stage
-   sweeps, polymorphic sorts, a boxed RNG state, a format interpreter
+   test_oracle.ml and test_linalg.ml: the elimination schedule builder,
+   the decomposition, the mapping polish loop, the dropout policy
+   search and the xoshiro256** generator as they were before the
+   per-trial overhead was taken out of polish and dropout, the
+   Householder QR behind the Haar draws and the plan replay as they
+   were before the small-N kernels moved to unit stride, the
+   Printf/Scanf text codecs of Plan and Unitary, and the per-byte JSON
+   string printer. They are slow on purpose — full decompositions per
+   trial, strided column rotations, full-matrix stage sweeps, boxed
+   entries, polymorphic sorts, a boxed RNG state, a format interpreter
    per line, a closure call per byte — and the library's versions must
    reproduce their every bit. *)
 
@@ -195,6 +198,97 @@ let decompose pattern u =
         Cx.scale (1. /. Cx.abs d) d)
   in
   { Plan.modes = n; elements = Array.of_list (List.rev !elements); lambda }
+
+(* A random labelled tree pattern: node i > 0 hangs off a uniformly
+   drawn earlier node, then every node is renamed by a random
+   permutation and a random start is chosen. *)
+let random_pattern st n =
+  let name = Array.init n (fun i -> i) in
+  for i = n - 1 downto 1 do
+    let j = Random.State.int st (i + 1) in
+    let t = name.(i) in
+    name.(i) <- name.(j);
+    name.(j) <- t
+  done;
+  let edges = List.init (n - 1) (fun i -> (name.(i + 1), name.(Random.State.int st (i + 1)))) in
+  Pattern.of_tree ~n ~edges ~start:(Random.State.int st n) ()
+
+(* Replay Λ·T_K⋯T_1 one strided column rotation at a time, a masked-out
+   rotation keeping only its phase. *)
+let reconstruct ?kept (t : Plan.t) =
+  let dst = Mat.create t.modes t.modes in
+  Array.iteri (fun i lam -> Mat.set dst i i lam) t.lambda;
+  for i = Array.length t.elements - 1 downto 0 do
+    let r = t.elements.(i).Plan.rotation in
+    let dropped = match kept with Some k -> not k.(i) | None -> false in
+    Givens.apply_t_right dst (if dropped then Givens.drop_mixing r else r)
+  done;
+  dst
+
+let fidelity ?kept t u = Mat.unitary_fidelity (reconstruct ?kept t) u
+
+(* Householder QR over boxed entries, each reflector dot product
+   accumulated down its column. *)
+let qr a =
+  let open Cx in
+  let n = Mat.rows a in
+  let r = Mat.copy a in
+  let q = Mat.identity n in
+  for k = 0 to n - 2 do
+    let m = n - k in
+    let x = Array.init m (fun i -> Mat.get r (k + i) k) in
+    let norm_x = sqrt (Array.fold_left (fun acc z -> acc +. Cx.abs2 z) 0. x) in
+    if norm_x > 1e-300 then begin
+      let phase = if Cx.abs x.(0) = 0. then Cx.one else Cx.exp_i (Cx.arg x.(0)) in
+      let v = Array.copy x in
+      v.(0) <- v.(0) +: (phase *: Cx.re norm_x);
+      let norm_v2 = Array.fold_left (fun acc z -> acc +. Cx.abs2 z) 0. v in
+      if norm_v2 > 1e-300 then begin
+        let beta = 2. /. norm_v2 in
+        for j = k to n - 1 do
+          let dot = ref Cx.zero in
+          for i = 0 to m - 1 do
+            dot := !dot +: (Cx.conj v.(i) *: Mat.get r (k + i) j)
+          done;
+          let s = Cx.scale beta !dot in
+          for i = 0 to m - 1 do
+            Mat.set r (k + i) j (Mat.get r (k + i) j -: (v.(i) *: s))
+          done
+        done;
+        for i = 0 to n - 1 do
+          let dot = ref Cx.zero in
+          for j = 0 to m - 1 do
+            dot := !dot +: (Mat.get q i (k + j) *: v.(j))
+          done;
+          let s = Cx.scale beta !dot in
+          for j = 0 to m - 1 do
+            Mat.set q i (k + j) (Mat.get q i (k + j) -: (s *: Cx.conj v.(j)))
+          done
+        done
+      end
+    end
+  done;
+  (q, r)
+
+let haar_random rng n =
+  let g =
+    Mat.init n n (fun _ _ ->
+        let re, im = Bose_util.Rng.gaussian_pair rng in
+        Cx.make (re /. sqrt 2.) (im /. sqrt 2.))
+  in
+  let q, r = qr g in
+  for j = 0 to n - 1 do
+    let d = Mat.get r j j in
+    if Cx.abs d <> 0. then Mat.scale_col q j (Cx.exp_i (Cx.arg d))
+  done;
+  q
+
+let random_orthogonal rng n =
+  let q, r = qr (Mat.init n n (fun _ _ -> Cx.re (Bose_util.Rng.gaussian rng))) in
+  for j = 0 to n - 1 do
+    if (Mat.get r j j).re < 0. then Mat.scale_col q j (Cx.re (-1.))
+  done;
+  q
 
 (* Polish scoring a full decomposition per trial with a polymorphic
    sort. The pre-change loop drew [a] and [b] with [let … and …], which

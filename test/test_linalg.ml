@@ -1,6 +1,9 @@
 (* Unit and property tests for the bose_linalg library. *)
 
 module Rng = Bose_util.Rng
+module Pattern = Bose_hardware.Pattern
+module Plan = Bose_decomp.Plan
+module Eliminate = Bose_decomp.Eliminate
 open Bose_linalg
 
 let check_close msg tol a b = Alcotest.(check (float tol)) msg a b
@@ -866,6 +869,66 @@ let test_plane_codec_roundtrip () =
           = Bose_util.Fnv.string Bose_util.Fnv.seed s))
     [ (1, 1); (3, 5); (8, 8); (1, 17) ]
 
+(* ------------------------------------------- small-N kernels vs oracles *)
+
+(* The unit-stride small-N engines (Haar QR on the flat planes, the
+   transposed elimination walk, the transposed replay) against the
+   boxed and strided references in oracle.ml, bit for bit: equal hex
+   float text is equal bits. *)
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+let same_matrix a b = Unitary.to_string a = Unitary.to_string b
+
+let draws_match_oracle ~seed n =
+  same_matrix (Unitary.haar_random (Rng.create seed) n) (Oracle.haar_random (Rng.create seed) n)
+  && same_matrix
+    (Unitary.random_orthogonal (Rng.create seed) n)
+    (Oracle.random_orthogonal (Rng.create seed) n)
+
+let prop_draws_match_oracle =
+  QCheck.Test.make ~name:"haar/orthogonal draws match the boxed QR, N = 1..40" ~count:60
+    QCheck.(pair (int_range 1 40) int)
+    (fun (n, seed) -> draws_match_oracle ~seed n)
+
+let test_draws_match_oracle_at_threshold () =
+  List.iter
+    (fun n ->
+       Alcotest.(check bool) (Printf.sprintf "N=%d draws" n) true (draws_match_oracle ~seed:n n))
+    [ Mat.blocking_threshold - 1; Mat.blocking_threshold; Mat.blocking_threshold + 1 ]
+
+let small_pattern st n chain = if chain then Pattern.chain n else Oracle.random_pattern st n
+
+let prop_walk_matches_oracle =
+  QCheck.Test.make ~name:"small-N walk matches the strided decomposition, chain and tree"
+    ~count:30
+    QCheck.(triple (int_range 2 (Mat.blocking_threshold - 1)) bool int)
+    (fun (n, chain, seed) ->
+       let pattern = small_pattern (Random.State.make [| seed |]) n chain in
+       let u = Unitary.haar_random (Rng.create seed) n in
+       let want = Oracle.decompose pattern u in
+       let sched = Eliminate.schedule pattern in
+       let angles = Array.make (Eliminate.rotation_count sched) 0. in
+       Eliminate.angles_into sched ~work:(Mat.create n n) u angles;
+       let ws = Mat.workspace () in
+       Plan.to_string (Eliminate.decompose pattern u) = Plan.to_string want
+       && Plan.to_string (Eliminate.decompose ~ws pattern u) = Plan.to_string want
+       && Array.for_all2 same_bits angles (Plan.angles want))
+
+let prop_replay_matches_oracle =
+  QCheck.Test.make ~name:"small-N masked replay matches the strided replay" ~count:30
+    QCheck.(triple (int_range 2 (Mat.blocking_threshold - 1)) bool int)
+    (fun (n, chain, seed) ->
+       let st = Random.State.make [| seed |] in
+       let pattern = small_pattern st n chain in
+       let u = Unitary.haar_random (Rng.create seed) n in
+       let plan = Eliminate.decompose pattern u in
+       let kept = Array.init (Plan.rotation_count plan) (fun _ -> Random.State.int st 4 <> 0) in
+       let ws = Mat.workspace () in
+       same_matrix (Plan.reconstruct plan) (Oracle.reconstruct plan)
+       && same_matrix (Plan.reconstruct ~kept plan) (Oracle.reconstruct ~kept plan)
+       && same_bits (Plan.fidelity ~kept plan u) (Oracle.fidelity ~kept plan u)
+       && same_bits (Plan.fidelity ~ws ~kept plan u) (Oracle.fidelity ~kept plan u))
+
 (* ------------------------------------------------------------ properties *)
 
 let qcheck_tests =
@@ -1031,7 +1094,11 @@ let () =
           Alcotest.test_case "sweep vs per-rotation kernels" `Quick
             test_sweep_agrees_with_percall_kernels;
           Alcotest.test_case "plane codec round-trip" `Quick test_plane_codec_roundtrip;
-        ] );
+          Alcotest.test_case "draws match the boxed QR at N = 127..129" `Quick
+            test_draws_match_oracle_at_threshold;
+        ]
+        @ List.map (fun t -> QCheck_alcotest.to_alcotest t)
+            [ prop_draws_match_oracle; prop_walk_matches_oracle; prop_replay_matches_oracle ] );
       ( "linsolve",
         [
           Alcotest.test_case "known det" `Quick test_linsolve_known_det;

@@ -150,25 +150,11 @@ let test_chain_500 () =
 
 (* ------------------------------------------------------------ properties *)
 
-(* A random labelled tree: node i > 0 hangs off a uniformly drawn
-   earlier node, then every node is renamed by a random permutation and
-   a random start is chosen. *)
-let random_pattern st n =
-  let name = Array.init n (fun i -> i) in
-  for i = n - 1 downto 1 do
-    let j = Random.State.int st (i + 1) in
-    let t = name.(i) in
-    name.(i) <- name.(j);
-    name.(j) <- t
-  done;
-  let edges = List.init (n - 1) (fun i -> (name.(i + 1), name.(Random.State.int st (i + 1)))) in
-  Pattern.of_tree ~n ~edges ~start:(Random.State.int st n) ()
-
 let prop_schedule =
   QCheck.Test.make ~name:"schedule matches the reference on random trees" ~count:60
     QCheck.(pair (int_range 2 128) int)
     (fun (n, seed) ->
-       let p = random_pattern (Random.State.make [| seed |]) n in
+       let p = Oracle.random_pattern (Random.State.make [| seed |]) n in
        Pattern.full_schedule p = Oracle.full_schedule p)
 
 let fake_plan total =

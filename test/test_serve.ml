@@ -595,6 +595,43 @@ let test_restart_disk_hit_bit_identical () =
     [ "plan"; "unitary"; "key" ];
   Serve.shutdown t2
 
+(* A stored object whose meta line does not parse is recompiled once:
+   the entry is quarantined, so the recompile's write-through stores a
+   fresh object and the next repeat is a disk hit again, carrying the
+   first compile's artifacts. *)
+let test_bad_meta_repaired () =
+  with_dir @@ fun dir ->
+  let t1 = Serve.create ~cache_dir:dir () in
+  let r1 = Serve.handle_line t1 (compile_req ~id:1 ~seed:42) in
+  Serve.shutdown t1;
+  let key = Option.get (get_str [ "result"; "key" ] r1) in
+  let path = Filename.concat (Filename.concat dir "objects") key in
+  let content = read_file path in
+  (* Line 3, after the magic and key lines. *)
+  let start = String.index_from content (String.index content '\n' + 1) '\n' + 1 in
+  let stop = String.index_from content start '\n' in
+  Alcotest.(check string) "meta line found" "meta " (String.sub content start 5);
+  write_file path
+    (String.sub content 0 start ^ "meta garbage"
+     ^ String.sub content stop (String.length content - stop));
+  let t2 = Serve.create ~cache_dir:dir () in
+  let r2 = Serve.handle_line t2 (compile_req ~id:2 ~seed:42) in
+  Alcotest.(check (option string)) "bad meta recompiles" (Some "none")
+    (get_str [ "result"; "cached" ] r2);
+  let r3 = Serve.handle_line t2 (compile_req ~id:3 ~seed:42) in
+  Alcotest.(check (option string)) "repaired entry hits" (Some "disk")
+    (get_str [ "result"; "cached" ] r3);
+  List.iter
+    (fun field ->
+       Alcotest.(check (option string)) (field ^ " unchanged by the repair")
+         (get_str [ "result"; field ] r1)
+         (get_str [ "result"; field ] r3))
+    [ "plan"; "unitary"; "key" ];
+  Alcotest.(check (option (float 0.))) "one quarantine" (Some 1.)
+    (get_num [ "result"; "disk_cache"; "quarantined" ]
+       (Serve.handle_line t2 {|{"op":"stats"}|}));
+  Serve.shutdown t2
+
 (* One key, one artifact per batch: two inline compiles of one N=16
    unitary with different seeds (the key excludes the seed) plus a
    seed-form compile, so at jobs 2 the two distinct keys go over the
@@ -961,6 +998,8 @@ let () =
             test_analyze_op;
           Alcotest.test_case "restart disk hit is bit-identical" `Quick
             test_restart_disk_hit_bit_identical;
+          Alcotest.test_case "bad meta line quarantined and repaired" `Quick
+            test_bad_meta_repaired;
           Alcotest.test_case "one compile per key in a batch" `Quick
             test_batch_one_compile_per_key;
           Alcotest.test_case "memory tier bounded in bytes" `Quick
