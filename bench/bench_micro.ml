@@ -33,7 +33,6 @@ let g_text_load_us = Obs.Gauge.make "bench.text_load_us"
 let g_bin_load_us = Obs.Gauge.make "bench.binary_load_us"
 let g_bin_speedup = Obs.Gauge.make "bench.binary_load_speedup"
 let g_rot_melems = Obs.Gauge.make "bench.rot_melems_s"
-let g_intra_speedup = Obs.Gauge.make "bench.intra_speedup"
 let g_analyze_per_s = Obs.Gauge.make "bench.analyze_per_s"
 let g_target_rotations = Obs.Gauge.make "bench.target_rotations"
 let g_target_kept = Obs.Gauge.make "bench.target_kept"
@@ -284,11 +283,10 @@ let artifact_load_row ~n =
   Printf.printf "artifact-load-%-13d text %8.1f us, binary %8.1f us, %8.2fx speedup\n" n
     (1e6 *. text_s) (1e6 *. bin_s) speedup
 
-(* Rotation-kernel throughput at sizes straddling the lock-release
-   threshold (N >= Mat.blocking_threshold runs the blocking C entry
-   points). Reported as million complex elements rotated per second;
-   the floors are conservative lower bounds that catch a kernel
-   falling off a cliff, not a tight performance pin. *)
+(* Rotation-kernel throughput of the per-call column kernel at the
+   paper's N >= 128 tier. Reported as million complex elements rotated
+   per second; the floors sit at about a third of the measured values,
+   so a kernel falling off a cliff fails, not a noisy run. *)
 let rot_throughput_row ~n =
   Benchlib.Telemetry.row ~experiment:"micro" ~row:(Printf.sprintf "rot-kernel-%d" n)
   @@ fun () ->
@@ -301,7 +299,6 @@ let rot_throughput_row ~n =
   let c = cos 0.3 and s = sin 0.3 in
   let ere = cos 1.1 and eim = sin 1.1 in
   let iters = max 64 (2_000_000 / n) in
-  let locks0 = Mat.lock_releases () in
   let t0 = Unix.gettimeofday () in
   for k = 1 to iters do
     let m = k mod (n - 1) in
@@ -313,62 +310,22 @@ let rot_throughput_row ~n =
     if wall > 0. then float_of_int (2 * n * iters) /. wall /. 1e6 else Float.infinity
   in
   Obs.Gauge.set g_rot_melems melems;
-  let path = if Mat.lock_releases () > locks0 then "blocking" else "fast" in
-  Printf.printf "rot-kernel-%-16d %9.1f Melem/s (%s path, %d iters)\n" n melems path
-    iters
+  Printf.printf "rot-kernel-%-16d %9.1f Melem/s (%d iters)\n" n melems iters
 
-(* Fused sweep-kernel throughput: a whole commuting front of rotations
-   (disjoint adjacent pairs, BLAS rotm-style) applied in one C call,
-   versus rot-kernel-* which pays one call per rotation. Same gauge
-   (bench.rot_melems_s) and the same conservative floors — the fused
-   path must never fall below the per-rotation path's floor. *)
-let sweep_throughput_row ~n =
-  Benchlib.Telemetry.row ~experiment:"micro" ~row:(Printf.sprintf "sweep-kernel-%d" n)
-  @@ fun () ->
-  let rng = Rng.create 14 in
-  let u =
-    Mat.init n n (fun _ _ ->
-        let re, im = Rng.gaussian_pair rng in
-        Cx.make re im)
-  in
-  let rots = n / 2 in
-  let seq = Mat.Rotseq.create ~capacity:rots () in
-  let c = cos 0.3 and s = sin 0.3 in
-  let ere = cos 1.1 and eim = sin 1.1 in
-  for k = 0 to rots - 1 do
-    let m = 2 * k in
-    Mat.Rotseq.push seq ~m ~n:(m + 1) ~c ~s ~ere ~eim ~bound:n
-  done;
-  let iters = max 8 (4_000_000 / (n * rots)) in
-  let locks0 = Mat.lock_releases () in
-  let t0 = Unix.gettimeofday () in
-  for _ = 1 to iters do
-    Mat.sweep_cols_pre u seq ~rot_lo:0 ~rot_hi:rots ~row_lo:0 ~row_hi:n
-  done;
-  let wall = Unix.gettimeofday () -. t0 in
-  (* Each pass rewrites two entries per (row, rotation) pair. *)
-  let melems =
-    if wall > 0. then float_of_int (2 * n * rots * iters) /. wall /. 1e6
-    else Float.infinity
-  in
-  Obs.Gauge.set g_rot_melems melems;
-  let path = if Mat.lock_releases () > locks0 then "blocking" else "fast" in
-  Printf.printf "sweep-kernel-%-14d %9.1f Melem/s (%s path, %d rots/pass, %d iters)\n" n
-    melems path rots iters
-
-(* Per-call wall time of one small-N kernel that a serve-cold miss
-   repeats hundreds of times: a map-polish score ([score-walk-24],
+(* Per-call wall time of one kernel that a serve-cold miss repeats
+   hundreds of times: a map-polish score ([score-walk-24],
    Eliminate.angles_into along a 6x6 lattice embedding), a dropout
    replay with one rotation in eight masked out ([masked-replay-24],
-   Plan.fidelity on a workspace), and a Haar draw ([haar-32]). Best of
-   20 batches, timed with telemetry off as `bosec serve` runs them (the
-   per-rotation angle histogram would otherwise dominate the walk). *)
-let call_us_row ~row ~iters f =
+   Plan.fidelity on a workspace), and a Haar draw ([haar-32]); and the
+   same walk and replay at the N=500 tier ([walk-500], [replay-500]).
+   Best of [batches] batches, timed with telemetry off as `bosec serve`
+   runs them. *)
+let call_us_row ?(batches = 20) ~row ~iters f =
   Benchlib.Telemetry.row ~experiment:"micro" ~row @@ fun () ->
   Obs.disable ();
   f ();
   let best = ref Float.infinity in
-  for _ = 1 to 20 do
+  for _ = 1 to batches do
     let t0 = Unix.gettimeofday () in
     for _ = 1 to iters do
       f ()
@@ -396,12 +353,31 @@ let small_kernel_rows () =
   let rng = Rng.create 32 in
   call_us_row ~row:"haar-32" ~iters:50 (fun () -> ignore (Unitary.haar_random rng 32))
 
+(* The N=500 walk and replay: [angles_into] along [Pattern.chain 500]
+   and a masked [Plan.fidelity ~ws] of the chain plan, one rotation in
+   eight masked out. The engine behind every tier-500 decomposition,
+   without the plan building that eliminate-500 also pays. *)
+let large_kernel_rows () =
+  let n = 500 in
+  let u = Unitary.haar_random (Rng.create 25) n in
+  let pattern = Bose_hardware.Pattern.chain n in
+  let sched = Eliminate.schedule pattern in
+  let work = Mat.create n n in
+  let angles = Array.make (Eliminate.rotation_count sched) 0. in
+  call_us_row ~batches:10 ~row:"walk-500" ~iters:1 (fun () ->
+      Eliminate.angles_into sched ~work u angles);
+  let plan = Eliminate.decompose pattern u in
+  let kept = Array.init (Plan.rotation_count plan) (fun i -> i mod 8 <> 5) in
+  let ws = Mat.workspace () in
+  call_us_row ~batches:10 ~row:"replay-500" ~iters:1 (fun () ->
+      ignore (Plan.fidelity ~ws ~kept plan u))
+
 (* Elimination throughput at the paper's N=500 tier: Eliminate.decompose
-   of a Haar unitary along the chain pattern, best of three. Unlike the
-   disjoint pairs of sweep-kernel-*, the chain's stages rotate adjacent
-   pairs, so every rotation reads the entry the previous one wrote.
-   Reported as rotations × 2N elements per second: the perfbench
-   replica's decomp.melems_s, on the same gauge as the kernel rows. *)
+   of a Haar unitary along the chain pattern, best of three, plan
+   building included. The chain's stages rotate adjacent pairs, so
+   every rotation reads the entry the previous one wrote. Reported as
+   rotations × 2N elements per second: the perfbench replica's
+   decomp.melems_s, on the same gauge as the kernel rows. *)
 let eliminate_row ~n =
   Benchlib.Telemetry.row ~experiment:"micro" ~row:(Printf.sprintf "eliminate-%d" n)
   @@ fun () ->
@@ -510,63 +486,6 @@ let batch_compile_scaling ~n ~rows ~cols ~job_count =
          job_count jobs (1e3 *. wall) speedup)
     (scaling_jobs ())
 
-(* Intra-decomposition scaling: ONE Clements decomposition with the
-   fused engine's bulk sweeps chunked over the pool, versus batch
-   scaling above which parallelizes across independent compiles. Output
-   is bit-identical at every jobs value (test/test_par.ml); only the
-   wall clock moves. Speedup rows report bench.intra_speedup. *)
-let clements_scaling ~n =
-  let u = Unitary.haar_random (Rng.create 15) n in
-  let base = ref 0. in
-  List.iter
-    (fun jobs ->
-       Benchlib.Telemetry.row ~experiment:"micro"
-         ~row:(Printf.sprintf "clements-%d-jobs-%d" n jobs)
-       @@ fun () ->
-       let with_pool f =
-         if jobs > 1 then Pool.with_pool ~domains:jobs (fun p -> f (Some p)) else f None
-       in
-       let t0 = Unix.gettimeofday () in
-       ignore (with_pool (fun pool -> Clements.decompose ?pool u));
-       let wall = Unix.gettimeofday () -. t0 in
-       if jobs = 1 then base := wall;
-       let speedup = if wall > 0. then !base /. wall else 0. in
-       Obs.Gauge.set g_wall_s wall;
-       Obs.Gauge.set g_intra_speedup speedup;
-       Printf.printf "clements-%-12d --jobs %d  %9.1f ms  %6.2fx\n" n jobs (1e3 *. wall)
-         speedup)
-    (scaling_jobs ())
-
-(* The paper's N=500 tier end to end: one Compiler.compile with the
-   pool threaded through the pass manager into the fused elimination.
-   The jobs-4 intra_speedup floor (bench_floors.json) is the
-   acceptance gate for intra-compile parallelism. *)
-let intra_compile_scaling ~n ~rows ~cols =
-  let device = Lattice.create ~rows ~cols in
-  let u = Unitary.haar_random (Rng.create 16) n in
-  let base = ref 0. in
-  List.iter
-    (fun jobs ->
-       Benchlib.Telemetry.row ~experiment:"micro"
-         ~row:(Printf.sprintf "intra-compile-%d-jobs-%d" n jobs)
-       @@ fun () ->
-       let with_pool f =
-         if jobs > 1 then Pool.with_pool ~domains:jobs (fun p -> f (Some p)) else f None
-       in
-       let t0 = Unix.gettimeofday () in
-       ignore
-         (with_pool (fun pool ->
-              Bosehedral.Compiler.compile ~tau:0.99 ?pool ~rng:(Rng.create 17) ~device
-                ~config:Bosehedral.Config.Baseline u));
-       let wall = Unix.gettimeofday () -. t0 in
-       if jobs = 1 then base := wall;
-       let speedup = if wall > 0. then !base /. wall else 0. in
-       Obs.Gauge.set g_wall_s wall;
-       Obs.Gauge.set g_intra_speedup speedup;
-       Printf.printf "intra-compile-%-7d --jobs %d  %9.1f ms  %6.2fx\n" n jobs
-         (1e3 *. wall) speedup)
-    (scaling_jobs ())
-
 let sampling_scaling ~modes ~shots =
   let u = Unitary.haar_random (Rng.create 9) modes in
   let state = Gaussian.vacuum modes in
@@ -642,17 +561,11 @@ let run () =
   rot_throughput_row ~n:128;
   rot_throughput_row ~n:256;
   rot_throughput_row ~n:500;
-  sweep_throughput_row ~n:128;
-  sweep_throughput_row ~n:256;
-  sweep_throughput_row ~n:500;
   small_kernel_rows ();
+  large_kernel_rows ();
   eliminate_row ~n:500;
   analyze_row ~n:500 ~rows:20 ~cols:25;
   batch_compile_scaling ~n:32 ~rows:6 ~cols:6 ~job_count:8;
-  clements_scaling ~n:128;
-  clements_scaling ~n:256;
-  clements_scaling ~n:500;
-  intra_compile_scaling ~n:500 ~rows:23 ~cols:22;
   sampling_scaling ~modes:6 ~shots:1024;
   let instances = Instance.[ monotonic_clock ] in
   let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 0.6) ~kde:(Some 500) () in

@@ -172,21 +172,15 @@ let run_compile rows cols modes target seed config tau graph_p effort jobs batch
   end;
   with_obs ~metrics_out ~trace @@ fun () ->
   let u = make_unitary rng ~modes ~graph_p in
-  (* --jobs on a single compile: intra-compile parallelism. The pool
-     only chunks the fused sweep engine's bulk passes, so the compiled
-     artifacts are bit-identical at every jobs value. *)
-  let with_pool f =
-    if jobs > 1 then Pool.with_pool ~domains:jobs (fun p -> f (Some p)) else f None
-  in
+  (* A single compile runs on one domain; --jobs only fans out
+     --batch compiles. *)
   let compiled =
-    with_pool (fun pool ->
-        match target with
-        | Some target ->
-          Compiler.compile_for_target ~effort ~tau ~disabled_passes:disable_passes ?pool
-            ~rng ~target ~config u
-        | None ->
-          Compiler.compile ~effort ~tau ~disabled_passes:disable_passes ?pool ~rng ~device
-            ~config u)
+    match target with
+    | Some target ->
+      Compiler.compile_for_target ~effort ~tau ~disabled_passes:disable_passes ~rng ~target
+        ~config u
+    | None ->
+      Compiler.compile ~effort ~tau ~disabled_passes:disable_passes ~rng ~device ~config u
   in
   (match target with
    | Some (t : Target.t) -> Format.printf "target: %s@." t.Target.name
@@ -775,8 +769,11 @@ let jobs =
   Arg.(value
        & opt int 1
        & info [ "j"; "jobs" ] ~docv:"N"
-           ~doc:"Parallel domains (including the calling one). Output is bit-identical \
-                 at every $(docv) for a fixed seed; only wall-clock time changes.")
+           ~doc:"Parallel domains (including the calling one) for $(b,--batch) \
+                 compiles, sampling chains and serve's batch fan-out. A single \
+                 compile runs on one domain, so there the flag has no effect. Output \
+                 is bit-identical at every $(docv) for a fixed seed; only wall-clock \
+                 time changes.")
 
 let batch =
   Arg.(value

@@ -23,7 +23,6 @@ let g_mats_allocated = Obs.Gauge.make "compile.mats_allocated"
 let g_ws_hits = Obs.Gauge.make "compile.ws_hits"
 let g_ws_misses = Obs.Gauge.make "compile.ws_misses"
 let g_bytes_offheap = Obs.Gauge.make "mat.bytes_offheap"
-let g_lock_releases = Obs.Gauge.make "mat.lock_releases"
 
 type effort = Pass.effort = Fast | Standard
 
@@ -46,7 +45,7 @@ type t = {
    over it, and assemble the result from the context's artifact cells.
    The per-stage work lives in Pass.{embed,map,decompose,dropout}; this
    function only sequences and observes. *)
-let drive ?(disabled = []) ?target ?pool ~effort ~tau ~rng ~device ~config ~source u =
+let drive ?(disabled = []) ?target ~effort ~tau ~rng ~device ~config ~source u =
   let n = Mat.rows u in
   Obs.Counter.incr c_compiles;
   Obs.Gauge.observe_max g_modes (float_of_int n);
@@ -58,11 +57,10 @@ let drive ?(disabled = []) ?target ?pool ~effort ~tau ~rng ~device ~config ~sour
   let bytes0 = Gc.allocated_bytes () in
   let mats0 = Mat.allocations () in
   let offheap0 = Mat.bytes_offheap () in
-  let locks0 = Mat.lock_releases () in
   let ctx =
     Pass.context ~effort ~tau
       ?target:(Option.map (fun (t : Target.t) -> t.Target.name) target)
-      ?pool ~rng ~device ~config ~source ~ws u
+      ~rng ~device ~config ~source ~ws u
   in
   let trace = Pipeline.run ~disabled Pipeline.default ctx in
   let pattern = Pass.pattern_exn ctx in
@@ -77,7 +75,6 @@ let drive ?(disabled = []) ?target ?pool ~effort ~tau ~rng ~device ~config ~sour
   Obs.Gauge.set g_ws_hits (float_of_int (Mat.workspace_hits ws));
   Obs.Gauge.set g_ws_misses (float_of_int (Mat.workspace_misses ws));
   Obs.Gauge.set g_bytes_offheap (float_of_int (Mat.bytes_offheap () - offheap0));
-  Obs.Gauge.set g_lock_releases (float_of_int (Mat.lock_releases () - locks0));
   let stage = Pipeline.elapsed trace in
   {
     config;
@@ -98,17 +95,17 @@ let drive ?(disabled = []) ?target ?pool ~effort ~tau ~rng ~device ~config ~sour
     trace = Pipeline.lint_trace ~disabled Pipeline.default trace;
   }
 
-let compile ?(effort = Standard) ?(tau = 0.999) ?disabled_passes ?pool ~rng ~device ~config
+let compile ?(effort = Standard) ?(tau = 0.999) ?disabled_passes ~rng ~device ~config
     u =
   let n = Mat.rows u in
   if Mat.cols u <> n then invalid_arg "Compiler.compile: unitary must be square";
   if n > Lattice.size device then
     invalid_arg "Compiler.compile: program larger than device";
   Obs.Span.with_ "compile" (fun () ->
-      drive ?disabled:disabled_passes ?pool ~effort ~tau ~rng ~device ~config
+      drive ?disabled:disabled_passes ~effort ~tau ~rng ~device ~config
         ~source:Pass.Device u)
 
-let compile_with_pattern ?(effort = Standard) ?(tau = 0.999) ?disabled_passes ?pool ~rng
+let compile_with_pattern ?(effort = Standard) ?(tau = 0.999) ?disabled_passes ~rng
     ~pattern ~config u =
   let n = Mat.rows u in
   if Mat.cols u <> n then invalid_arg "Compiler.compile_with_pattern: unitary must be square";
@@ -116,7 +113,7 @@ let compile_with_pattern ?(effort = Standard) ?(tau = 0.999) ?disabled_passes ?p
     invalid_arg "Compiler.compile_with_pattern: pattern size mismatch";
   let device = Lattice.create ~rows:1 ~cols:n in
   Obs.Span.with_ "compile" (fun () ->
-      drive ?disabled:disabled_passes ?pool ~effort ~tau ~rng ~device ~config
+      drive ?disabled:disabled_passes ~effort ~tau ~rng ~device ~config
         ~source:(Pass.Explicit pattern) u)
 
 (* Target-directed compilation. Grid targets run through the same
@@ -127,7 +124,7 @@ let compile_with_pattern ?(effort = Standard) ?(tau = 0.999) ?disabled_passes ?p
    have no lattice, so the target's derived elimination pattern goes in
    explicitly, with a placeholder 1×n device (the same convention as
    [compile_with_pattern]). *)
-let compile_for_target ?(effort = Standard) ?(tau = 0.999) ?disabled_passes ?pool ~rng
+let compile_for_target ?(effort = Standard) ?(tau = 0.999) ?disabled_passes ~rng
     ~target ~config u =
   let n = Mat.rows u in
   if Mat.cols u <> n then invalid_arg "Compiler.compile_for_target: unitary must be square";
@@ -140,7 +137,7 @@ let compile_for_target ?(effort = Standard) ?(tau = 0.999) ?disabled_passes ?poo
     | None -> (Lattice.create ~rows:1 ~cols:n, Pass.Explicit (Target.pattern target n))
   in
   Obs.Span.with_ "compile" (fun () ->
-      drive ?disabled:disabled_passes ~target ?pool ~effort ~tau ~rng ~device ~config
+      drive ?disabled:disabled_passes ~target ~effort ~tau ~rng ~device ~config
         ~source u)
 
 (* The job's content, folded once per job. Jobs with identical inputs

@@ -74,7 +74,6 @@ val compile :
   ?effort:effort ->
   ?tau:float ->
   ?disabled_passes:string list ->
-  ?pool:Bose_par.Pool.t ->
   rng:Bose_util.Rng.t ->
   device:Bose_hardware.Lattice.t ->
   config:Config.t ->
@@ -86,13 +85,9 @@ val compile :
     passes, storing their neutral artifact instead ([bosec compile
     --disable-pass]).
 
-    [?pool] enables intra-compile parallelism ([bosec compile --jobs]):
-    at N ≥ [Mat.blocking_threshold] the decompose pass's fused sweep
-    engine chunks its bulk rotation passes across the pool. Scheduling
-    only — compiled artifacts are bit-identical at every pool size
-    (pinned by test/test_par.ml). Do not pass
-    a pool whose domains are already inside a pool task (nested
-    parallelism is rejected by [Bose_par.Pool.run]).
+    One compile runs on the calling domain: no pass has a parallel
+    path, so a single [bosec compile] ignores [--jobs]. Parallelism
+    lives across compiles ({!compile_batch}, serve's batch fan-out).
     @raise Invalid_argument on size mismatch, non-square input, or an
     unknown/mandatory name in [disabled_passes]. *)
 
@@ -100,7 +95,6 @@ val compile_with_pattern :
   ?effort:effort ->
   ?tau:float ->
   ?disabled_passes:string list ->
-  ?pool:Bose_par.Pool.t ->
   rng:Bose_util.Rng.t ->
   pattern:Bose_hardware.Pattern.t ->
   config:Config.t ->
@@ -117,7 +111,6 @@ val compile_for_target :
   ?effort:effort ->
   ?tau:float ->
   ?disabled_passes:string list ->
-  ?pool:Bose_par.Pool.t ->
   rng:Bose_util.Rng.t ->
   target:Bose_hardware.Target.t ->
   config:Config.t ->

@@ -31,19 +31,13 @@ type ctx = {
   target : string option;
   rng : Rng.t;
   ws : Mat.workspace;
-  (* Intra-compile parallelism for the fused elimination/replay engines.
-     A scheduling-only knob: engine selection is by problem size, never
-     by pool presence, so artifacts are bit-identical at every pool
-     size — which is why the pool is NOT folded into fingerprints. *)
-  pool : Bose_par.Pool.t option;
   mutable pattern : Pattern.t option;
   mutable mapping : Mapping.t option;
   mutable plan : Plan.t option;
   mutable policy : Dropout.policy option;
 }
 
-let context ?(effort = Standard) ?(tau = 0.999) ?target ?pool ~rng ~device ~config ~source
-    ~ws u =
+let context ?(effort = Standard) ?(tau = 0.999) ?target ~rng ~device ~config ~source ~ws u =
   {
     unitary = u;
     config;
@@ -54,7 +48,6 @@ let context ?(effort = Standard) ?(tau = 0.999) ?target ?pool ~rng ~device ~conf
     target;
     rng;
     ws;
-    pool;
     pattern = None;
     mapping = None;
     plan = None;
@@ -272,7 +265,7 @@ let decompose =
     run =
       (fun ctx ->
         Aplan
-          (Eliminate.decompose ~ws:ctx.ws ?pool:ctx.pool (pattern_exn ctx)
+          (Eliminate.decompose ~ws:ctx.ws (pattern_exn ctx)
              (mapping_exn ctx).Mapping.permuted));
     skip = None;
   }

@@ -38,11 +38,6 @@ type ctx = {
           leaves fingerprints bit-for-bit unchanged. *)
   rng : Bose_util.Rng.t;
   ws : Bose_linalg.Mat.workspace;
-  pool : Bose_par.Pool.t option;
-      (** Intra-compile parallelism for the fused elimination/replay
-          engines ([Compiler.compile ?pool], [bosec compile --jobs]).
-          Scheduling-only: artifacts are bit-identical at every pool
-          size, so the pool is never folded into fingerprints. *)
   mutable pattern : Bose_hardware.Pattern.t option;
   mutable mapping : Bose_mapping.Mapping.t option;
   mutable plan : Bose_decomp.Plan.t option;
@@ -57,7 +52,6 @@ val context :
   ?effort:effort ->
   ?tau:float ->
   ?target:string ->
-  ?pool:Bose_par.Pool.t ->
   rng:Bose_util.Rng.t ->
   device:Bose_hardware.Lattice.t ->
   config:Config.t ->

@@ -1,7 +1,6 @@
 module Cx = Bose_linalg.Cx
 module Mat = Bose_linalg.Mat
 module Givens = Bose_linalg.Givens
-module Pool = Bose_par.Pool
 module Gate = Bose_circuit.Gate
 module Circuit = Bose_circuit.Circuit
 
@@ -12,16 +11,8 @@ type t = {
   lambda : Cx.t array;
 }
 
-(* Engine selection is by size only — never by pool presence — so the
-   plan bits at a given N are identical at every job count, pool or
-   no pool (the determinism contract, docs/ARCHITECTURE.md). The
-   fused engine pays one Rotseq and a serial derivation walk per
-   sweep; below the threshold that overhead is not worth it and the
-   legacy per-rotation loop stays bit-exact with earlier releases. *)
-let fused_threshold = Mat.blocking_threshold
-
-(* Legacy per-rotation engine: one ranged kernel call per elimination. *)
-let sweeps_serial work n =
+(* One ranged kernel call per elimination. *)
+let sweeps work n =
   let left = ref [] and right = ref [] in
   for k = 1 to n - 1 do
     (* Odd diagonals are cleared corner-first (j ascending) so earlier
@@ -48,69 +39,12 @@ let sweeps_serial work n =
   done;
   (!left, !right)
 
-(* Fused engine: per sweep, derive serially along the anti-diagonal —
-   each derivation row (odd sweeps) / column (even sweeps) is caught
-   up with the sweep's earlier rotations just before its own — then
-   apply the whole packed sweep to every remaining row/column in one
-   bulk pass, chunked across the pool. Per row the element updates
-   run in rotation order exactly as in the serial engine, so the two
-   phases and any chunking produce identical bits. Rows ≥ n−k (odd)
-   and columns < k (even) are fully handled by the serial walk: a
-   sweep rotation with bound b never touches rows ≥ b / columns < b,
-   mirroring the ?nrows/?first restrictions of the legacy loop. *)
-let sweeps_fused ?pool work n =
-  let left = ref [] and right = ref [] in
-  let seq = Mat.Rotseq.create ~capacity:n () in
-  for k = 1 to n - 1 do
-    Mat.Rotseq.clear seq;
-    if k mod 2 = 1 then begin
-      for idx = 0 to k - 1 do
-        let row = n - 1 - idx and col = k - 1 - idx in
-        let len = Mat.Rotseq.length seq in
-        Mat.sweep_cols_pre work seq ~rot_lo:0 ~rot_hi:len ~row_lo:row ~row_hi:(row + 1);
-        let r = Givens.solve work ~row ~m:col ~n:(col + 1) in
-        if not (Givens.is_identity r) then begin
-          Givens.seq_push_t_dagger_right seq r ~nrows:(row + 1);
-          Mat.sweep_cols_pre work seq ~rot_lo:len ~rot_hi:(len + 1) ~row_lo:row
-            ~row_hi:(row + 1);
-          Mat.set work row col Cx.zero
-        end;
-        right := r :: !right
-      done;
-      let len = Mat.Rotseq.length seq in
-      if len > 0 then
-        Pool.bulk_iter pool ~n:(n - k) (fun ~lo ~hi ->
-            Mat.sweep_cols_pre work seq ~rot_lo:0 ~rot_hi:len ~row_lo:lo ~row_hi:hi)
-    end
-    else begin
-      for idx = 0 to k - 1 do
-        let col = idx and row = n - k + idx in
-        let len = Mat.Rotseq.length seq in
-        Mat.sweep_rows_pre work seq ~rot_lo:0 ~rot_hi:len ~col_lo:col ~col_hi:(col + 1);
-        let r = Givens.solve_left work ~col ~m:row ~n:(row - 1) in
-        if not (Givens.is_identity r) then begin
-          Givens.seq_push_t_left seq r ~first:col;
-          Mat.sweep_rows_pre work seq ~rot_lo:len ~rot_hi:(len + 1) ~col_lo:col
-            ~col_hi:(col + 1);
-          Mat.set work row col Cx.zero
-        end;
-        left := r :: !left
-      done;
-      let len = Mat.Rotseq.length seq in
-      if len > 0 then
-        Pool.bulk_iter pool ~n:(n - k) (fun ~lo ~hi ->
-            Mat.sweep_rows_pre work seq ~rot_lo:0 ~rot_hi:len ~col_lo:(k + lo)
-              ~col_hi:(k + hi))
-    end
-  done;
-  (!left, !right)
-
 (* Anti-diagonal k (1-based, from the bottom-left corner) holds the
    sub-diagonal entries (n-1-j, k-1-j) for j = 0 .. k-1. Odd k is
    cleared with column rotations from the right, even k with row
    rotations from the left — the zero pattern is preserved exactly as
    in Clements et al. *)
-let decompose ?ws ?pool u =
+let decompose ?ws u =
   let n = Mat.rows u in
   if Mat.cols u <> n then invalid_arg "Clements.decompose: square matrices only";
   let work =
@@ -121,9 +55,7 @@ let decompose ?ws ?pool u =
       Mat.blit u w;
       w
   in
-  let left, right =
-    if n >= fused_threshold then sweeps_fused ?pool work n else sweeps_serial work n
-  in
+  let left, right = sweeps work n in
   let lambda =
     Array.init n (fun i ->
         let d = Mat.get work i i in

@@ -17,17 +17,16 @@ type t = {
   lambda : Bose_linalg.Cx.t array;  (** Diagonal of D, unit modulus. *)
 }
 
-val decompose : ?ws:Bose_linalg.Mat.workspace -> ?pool:Bose_par.Pool.t -> Bose_linalg.Mat.t -> t
+val decompose : ?ws:Bose_linalg.Mat.workspace -> Bose_linalg.Mat.t -> t
 (** @raise Invalid_argument on non-square or non-unitary input. Passing
     [?ws] reuses the workspace's slot-0 scratch as the elimination work
     matrix instead of allocating a fresh copy of the input.
 
-    At N ≥ [Mat.blocking_threshold] the sweeps run on the fused engine:
-    rotations of each anti-diagonal are derived serially (each
-    derivation row/column caught up just in time), then the packed
-    sweep is applied to all remaining rows/columns in one bulk pass,
-    chunked across [?pool] when present. Engine choice depends only on
-    N, so the decomposition is bit-identical at every pool size. *)
+    One engine at every N, on the calling domain: one ranged kernel
+    call per elimination, each rotation restricted ([?nrows]/[?first])
+    to the rows/columns not yet known to be zero. Column rotations run
+    strided, so this engine is slower than {!Eliminate.decompose} at
+    equal N. *)
 
 val reconstruct : t -> Bose_linalg.Mat.t
 (** Replays [L_1†⋯L_q†·D·R_p⋯R_1]; equals the input to machine

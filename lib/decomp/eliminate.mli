@@ -15,17 +15,21 @@ val decompose :
     reuses the workspace's slot-0 scratch as the elimination work matrix
     instead of allocating a fresh copy of [u].
 
-    Below [Mat.blocking_threshold] the per-call engine eliminates a
-    transposed copy, so each column rotation runs at unit stride over
-    the rows it must update (docs/ARCHITECTURE.md, small-N engines).
-    At N ≥ [Mat.blocking_threshold] the elimination switches to the
-    fused sweep engine: each stage derives its rotations serially on
-    the stage row, then applies the packed stage to the rows above it —
-    the rows later stages still read — in one bulk pass, chunked across
-    [?pool] when present. Rows below the stage row are finished and
-    keep their values; Λ reads only their diagonal. Engine choice
-    depends only on N — the plan is bit-identical at every pool size,
-    pool or no pool (docs/ARCHITECTURE.md, determinism contract).
+    One engine runs at every N: it eliminates a transposed copy, so
+    each column rotation runs at unit stride over the rows it must
+    update, rows below the stage row are finished and keep their values
+    (Λ reads only their diagonal), and every rotation is derived from
+    the matrix without boxing (docs/ARCHITECTURE.md, substrate). The
+    decomposition runs on the calling domain.
+
+    [?pool] is accepted and ignored: one decomposition has no parallel
+    path. The argument stays only because the repository benchmark
+    ([perfbench/replica.ml], [par_check]) still passes one; it goes
+    when that caller drops it.
+
+    Telemetry: counts one [decomp.decompositions] and the plan's
+    rotations in [decomp.beamsplitters], and observes every rotation's
+    |θ| once into [decomp.rotation_angles].
     @raise Invalid_argument on a size mismatch or non-square input. *)
 
 type schedule
@@ -43,16 +47,17 @@ val angles_into :
 (** [angles_into sched ~work u angles] writes |θ| of every rotation of
     the decomposition of [u], in plan order, into [angles] (length
     {!rotation_count}) — bit-identical to
-    [Plan.angles (decompose pattern u)], with the same engine choice and
-    the same telemetry, but without building the plan or Λ. [work] is
-    scratch: [u] is copied into it (transposed below
-    [Mat.blocking_threshold]) and eliminated by the same walk as
-    {!decompose}. Allocates no matrix, and below the threshold nothing
-    per rotation.
+    [Plan.angles (decompose pattern u)], but without building the plan
+    or Λ. [work] is scratch: [u] is copied into it transposed and
+    eliminated by the same walk as {!decompose}. Allocates no matrix
+    and nothing per rotation.
+
+    Telemetry: counts a decomposition and its rotations as {!decompose}
+    does, but observes no angles — a search loop's scores are not plans,
+    and [decomp.rotation_angles] holds the angles of plans built.
     @raise Invalid_argument on a size mismatch. *)
 
-val decompose_baseline :
-  ?ws:Bose_linalg.Mat.workspace -> ?pool:Bose_par.Pool.t -> Bose_linalg.Mat.t -> Plan.t
+val decompose_baseline : ?ws:Bose_linalg.Mat.workspace -> Bose_linalg.Mat.t -> Plan.t
 (** Chain-pattern decomposition (Reck-style, the paper's baseline),
     ignoring hardware structure. *)
 

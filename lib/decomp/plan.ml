@@ -25,23 +25,13 @@ let small_angle_count t ~threshold =
 (* Replay Λ·T_K⋯T_1 into [dst], which must be modes×modes. Shared by
    the allocating [reconstruct] and the workspace-backed [fidelity].
 
-   Below [Mat.blocking_threshold] [dst] holds the transpose during the
-   replay (Λ is diagonal, so it starts out equal to its transpose):
-   each right-multiplication by T is one unit-stride rotation of a row
-   pair ([Mat.rot_cols_t_transposed]), and one in-place transpose at
-   the end puts the result back. Every entry gets the same arithmetic
-   as a column rotation of [dst] itself.
-
-   At or above the threshold the replay is fused: the whole rotation
-   string is packed once and applied through the sweep kernel,
-   row-chunked across [?pool]. Unlike the elimination engines, nothing
-   is derived mid-replay, so the entire string is a single commuting
-   front per row; identity rotations are pushed too, mirroring the
-   per-call loop which also sends them through the kernel. Engine
-   choice is by size only, so replay bits never depend on the pool. *)
-let fused_threshold = Mat.blocking_threshold
-
-let reconstruct_into ?pool ?kept ~dst t =
+   [dst] holds the transpose during the replay (Λ is diagonal, so it
+   starts out equal to its transpose): each right-multiplication by T
+   is one unit-stride rotation of a row pair
+   ([Mat.rot_cols_t_transposed]), and one in-place transpose at the end
+   puts the result back. Every entry gets the same arithmetic as a
+   column rotation of [dst] itself. *)
+let reconstruct_into ?kept ~dst t =
   (match kept with
    | Some k when Array.length k <> Array.length t.elements ->
      invalid_arg "Plan.reconstruct: kept length mismatch"
@@ -49,43 +39,30 @@ let reconstruct_into ?pool ?kept ~dst t =
   Mat.fill_zero dst;
   Array.iteri (fun i lam -> Mat.set dst i i lam) t.lambda;
   (* U = Λ·T_K⋯T_1: right-multiply by T_K first, down to T_1. *)
-  let count = Array.length t.elements in
-  let masked i r =
-    match kept with
-    | Some k when not k.(i) -> Givens.drop_mixing r
-    | Some _ | None -> r
-  in
-  if t.modes >= fused_threshold && count > 0 then begin
-    let seq = Mat.Rotseq.create ~capacity:count () in
-    for i = count - 1 downto 0 do
-      Givens.seq_push_t_right seq (masked i t.elements.(i).rotation) ~nrows:t.modes
-    done;
-    Bose_par.Pool.bulk_iter pool ~n:t.modes (fun ~lo ~hi ->
-        Mat.sweep_cols_post dst seq ~rot_lo:0 ~rot_hi:count ~row_lo:lo ~row_hi:hi)
-  end
-  else begin
-    for i = count - 1 downto 0 do
-      let { Givens.m; n; c; s; ere; eim } = masked i t.elements.(i).rotation in
-      Mat.rot_cols_t_transposed dst ~m ~n ~c ~s ~ere ~eim
-    done;
-    Mat.transpose_inplace dst
-  end
+  for i = Array.length t.elements - 1 downto 0 do
+    let r = t.elements.(i).rotation in
+    let { Givens.m; n; c; s; ere; eim } =
+      match kept with Some k when not k.(i) -> Givens.drop_mixing r | Some _ | None -> r
+    in
+    Mat.rot_cols_t_transposed dst ~m ~n ~c ~s ~ere ~eim
+  done;
+  Mat.transpose_inplace dst
 
-let reconstruct ?pool ?kept t =
+let reconstruct ?kept t =
   let u = Mat.create t.modes t.modes in
-  reconstruct_into ?pool ?kept ~dst:u t;
+  reconstruct_into ?kept ~dst:u t;
   u
 
 (* With [?ws], the replay target is the workspace's [Mat.Slot.replay]
    scratch ([Mat.Slot.elimination] belongs to the elimination engines),
    so the dropout search's many fidelity probes allocate no matrices
    after the first. *)
-let fidelity ?ws ?pool ?kept t u =
+let fidelity ?ws ?kept t u =
   match ws with
-  | None -> Mat.unitary_fidelity (reconstruct ?pool ?kept t) u
+  | None -> Mat.unitary_fidelity (reconstruct ?kept t) u
   | Some ws ->
     let dst = Mat.scratch ~slot:Mat.Slot.replay ws t.modes t.modes in
-    reconstruct_into ?pool ?kept ~dst t;
+    reconstruct_into ?kept ~dst t;
     Mat.unitary_fidelity dst u
 
 type mzi_style = Tunable | Fixed_fifty_fifty

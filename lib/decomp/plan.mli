@@ -29,32 +29,27 @@ val small_angle_count : t -> threshold:float -> int
 (** How many rotations satisfy |θ| < threshold — the quantity both
     optimizations try to maximize (paper §V-D uses θ < 0.1). *)
 
-val reconstruct : ?pool:Bose_par.Pool.t -> ?kept:bool array -> t -> Bose_linalg.Mat.t
+val reconstruct : ?kept:bool array -> t -> Bose_linalg.Mat.t
 (** Replay [Λ · T_K ⋯ T_1]. With [kept], rotations flagged [false] are
     replayed with θ = 0 (beamsplitter dropped, phase kept), giving the
     approximated unitary U_app of §VI.
 
-    Below [Mat.blocking_threshold] modes the replay rotates a
-    transposed target at unit stride and transposes it back once at
-    the end. At modes ≥ [Mat.blocking_threshold] it packs the whole
-    rotation string into one fused sweep and row-chunks it across
-    [?pool]. Engine choice depends only on the plan size, so the
-    replayed bits are identical at every pool size. *)
+    One engine at every size: the replay rotates a transposed target at
+    unit stride and transposes it back once at the end, on the calling
+    domain. Each entry gets the arithmetic of a column rotation of the
+    target itself, so the bits are those of the strided replay. *)
 
-val reconstruct_into :
-  ?pool:Bose_par.Pool.t -> ?kept:bool array -> dst:Bose_linalg.Mat.t -> t -> unit
+val reconstruct_into : ?kept:bool array -> dst:Bose_linalg.Mat.t -> t -> unit
 (** {!reconstruct} into a caller-owned [dst] (modes×modes, overwritten)
     — the allocation-free replay used by workspace-backed callers.
     @raise Invalid_argument if [kept] does not have one flag per rotation. *)
 
 val fidelity :
-  ?ws:Bose_linalg.Mat.workspace ->
-  ?pool:Bose_par.Pool.t ->
-  ?kept:bool array -> t -> Bose_linalg.Mat.t -> float
+  ?ws:Bose_linalg.Mat.workspace -> ?kept:bool array -> t -> Bose_linalg.Mat.t -> float
 (** [fidelity ?kept plan u] = |tr(U_app·U†)|/N against the original.
     With [?ws] the replayed unitary lives in the workspace's slot-1
     scratch, so repeated calls (the dropout threshold search) allocate
-    no matrices. [?pool] chunks the fused large-N replay. *)
+    no matrices. *)
 
 type mzi_style =
   | Tunable  (** 'MZI 1': R(φ) + tunable BS(θ, 0) — two gates. *)

@@ -1,7 +1,6 @@
 module Rng = Bose_util.Rng
 module Plan = Bose_decomp.Plan
 module Obs = Bose_obs.Obs
-module Pool = Bose_par.Pool
 
 let c_dropped_gates = Obs.Counter.make "dropout.dropped_gates"
 let c_fidelity_evals = Obs.Counter.make "dropout.fidelity_evals"
@@ -159,28 +158,7 @@ let average_fidelity ?ws rng plan u weights kept_count iterations =
   done;
   !acc /. float_of_int iterations
 
-(* Pool variant of [average_fidelity]: one pre-split stream per trial,
-   fidelities accumulated in trial order, so the average is a function
-   of [rng] alone — identical at every pool size (including a 1-domain
-   pool), though not byte-identical to the sequential-draw
-   [average_fidelity] above. Trials allocate instead of sharing the
-   caller's workspace: a [Mat.workspace] is single-domain state. *)
-let average_fidelity_chains pool rng plan u weights kept_count iterations =
-  let streams = Rng.split rng iterations in
-  let fids = Array.make iterations 0. in
-  let trial i =
-    let kept = sample_mask streams.(i) weights kept_count in
-    Obs.Counter.incr c_fidelity_evals;
-    fids.(i) <- Plan.fidelity ~kept plan u
-  in
-  if Pool.domains pool > 1 then Pool.run pool ~tasks:iterations trial
-  else
-    for i = 0 to iterations - 1 do
-      trial i
-    done;
-  Array.fold_left ( +. ) 0. fids /. float_of_int iterations
-
-let make_policy ?ws ?pool ?(powers = [ 1; 2; 5; 10; 20; 50; 100 ]) ?(iterations = 40) rng plan u ~tau =
+let make_policy ?ws ?(powers = [ 1; 2; 5; 10; 20; 50; 100 ]) ?(iterations = 40) rng plan u ~tau =
   let theta_cut, kept_count = find_threshold ?ws plan u ~tau in
   let angles = Plan.angles plan in
   let total = Array.length angles in
@@ -198,11 +176,7 @@ let make_policy ?ws ?pool ?(powers = [ 1; 2; 5; 10; 20; 50; 100 ]) ?(iterations 
     else begin
       let evaluate power =
         let weights = make_weights angles theta_cut power in
-        let fid =
-          match pool with
-          | None -> average_fidelity ?ws rng plan u weights kept_count iterations
-          | Some p -> average_fidelity_chains p rng plan u weights kept_count iterations
-        in
+        let fid = average_fidelity ?ws rng plan u weights kept_count iterations in
         (power, weights, fid)
       in
       let candidates = List.map evaluate powers in

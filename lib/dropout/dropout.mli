@@ -28,7 +28,6 @@ val find_threshold :
 
 val make_policy :
   ?ws:Bose_linalg.Mat.workspace ->
-  ?pool:Bose_par.Pool.t ->
   ?powers:int list ->
   ?iterations:int ->
   Bose_util.Rng.t ->
@@ -39,15 +38,7 @@ val make_policy :
 (** Full §VI procedure. [powers] defaults to [1; 2; 5; 10; 20; 50; 100];
     [iterations] (the paper's L) defaults to 40 reconstructions per
     candidate K. With [?ws] every fidelity probe replays into the
-    workspace's slot-1 scratch instead of allocating a matrix.
-
-    With [?pool] the Monte-Carlo fidelity trials of each candidate K
-    fan out one task per trial, each drawing its mask from its own
-    pre-split RNG stream, and fidelities are averaged in trial order —
-    the policy is then a function of [rng] alone, identical at every
-    pool size (a 1-domain pool included), though not byte-identical to
-    the sequential-draw [?pool]-absent path. [?ws] is ignored for the
-    pooled trials (a workspace is single-domain state). *)
+    workspace's slot-1 scratch instead of allocating a matrix. *)
 
 val sample_kept : Bose_util.Rng.t -> policy -> Plan.t -> bool array
 (** One per-shot selection: a keep-mask with exactly [kept_count]

@@ -86,10 +86,10 @@ let angle_for u ~row ~m ~n = theta (solve u ~row ~m ~n)
    nothing-to-eliminate case; skip the kernel pass then. *)
 let is_identity r = r.s = 0. && r.eim = 0. && r.ere = 1.
 
-(* The per-call engine's elimination step on a transposed work
-   matrix: [wt] holds uᵀ, so u(row, m) and u(row, n) are read at
-   (m, row) and (n, row), and the update to rows 0..row of u is a
-   unit-stride rotation of rows m and n of [wt] over columns 0..row. *)
+(* The elimination engine's step on a transposed work matrix: [wt]
+   holds uᵀ, so u(row, m) and u(row, n) are read at (m, row) and
+   (n, row), and the update to rows 0..row of u is a unit-stride
+   rotation of rows m and n of [wt] over columns 0..row. *)
 let[@inline] eliminate_transposed q wt ~row ~m ~n =
   derive_into q ~flip:false (Mat.get_re wt m row) (Mat.get_im wt m row) (Mat.get_re wt n row)
     (Mat.get_im wt n row);
@@ -118,19 +118,3 @@ let eliminate_left ?first u ~col ~m ~n =
     Mat.set u m col Cx.zero
   end;
   r
-
-let solve_left u ~col ~m ~n = derive ~m ~n ~flip:true (Mat.get u m col) (Mat.get u n col)
-
-(* Packed-sequence pushers for the fused Mat.sweep_ kernels.
-   Each bakes the phase into the kernel form its sweep body consumes:
-   the dagger-right push negates eim exactly as rot_cols_t_dagger_cs
-   does, so `sweep_cols_pre` over a pushed sequence applies the same
-   per-element arithmetic as the per-rotation elimination kernel. *)
-let seq_push_t_dagger_right seq r ~nrows =
-  Mat.Rotseq.push seq ~m:r.m ~n:r.n ~c:r.c ~s:r.s ~ere:r.ere ~eim:(-.r.eim) ~bound:nrows
-
-let seq_push_t_right seq r ~nrows =
-  Mat.Rotseq.push seq ~m:r.m ~n:r.n ~c:r.c ~s:r.s ~ere:r.ere ~eim:r.eim ~bound:nrows
-
-let seq_push_t_left seq r ~first =
-  Mat.Rotseq.push seq ~m:r.m ~n:r.n ~c:r.c ~s:r.s ~ere:r.ere ~eim:r.eim ~bound:first

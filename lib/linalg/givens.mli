@@ -83,13 +83,9 @@ val eliminate_left : ?first:int -> Mat.t -> col:int -> m:int -> n:int -> rotatio
     [?first] restricts the row update to columns [first ..] — sound
     only when both rows are zero to the left. *)
 
-val solve_left : Mat.t -> col:int -> m:int -> n:int -> rotation
-(** The rotation {!eliminate_left} would apply, without mutating
-    anything — the derivation step of the fused elimination engines. *)
-
 (** {1 Unboxed derivation}
 
-    The per-call elimination engine derives each rotation into one
+    The elimination engine derives each rotation into one
     reusable {!quad} instead of a fresh {!rotation}: the same
     arithmetic as {!solve}, with the entries read straight off the
     matrix and the result kept in flat float storage, so a score-only
@@ -124,25 +120,4 @@ val is_identity : rotation -> bool
 (** Whether the rotation is the exact identity quadruple (s = 0,
     e^{iφ} = 1) — the nothing-to-eliminate case. {!eliminate} and
     {!eliminate_left} skip both the kernel pass and the zero pin for
-    such rotations; the fused engines must replicate that skip to stay
-    plan-identical. *)
-
-(** {1 Packed-sequence pushers}
-
-    Append a rotation to a {!Mat.Rotseq.t} in the kernel form one of
-    the fused sweep bodies consumes — the dagger-right form negates
-    the phase exactly as {!apply_t_dagger_right} does, so a
-    [Mat.sweep_cols_pre] over the packed sequence reproduces the
-    per-rotation elimination kernels rotation for rotation. *)
-
-val seq_push_t_dagger_right : Mat.Rotseq.t -> rotation -> nrows:int -> unit
-(** For [Mat.sweep_cols_pre]: [u ← u·T†] restricted to the first
-    [nrows] rows (the {!eliminate} [?nrows] restriction). *)
-
-val seq_push_t_right : Mat.Rotseq.t -> rotation -> nrows:int -> unit
-(** For [Mat.sweep_cols_post]: [u ← u·T] on rows [\[0, nrows)] — the
-    replay direction. *)
-
-val seq_push_t_left : Mat.Rotseq.t -> rotation -> first:int -> unit
-(** For [Mat.sweep_rows_pre]: [u ← T·u] on columns [first ..] (the
-    {!eliminate_left} [?first] restriction). *)
+    such rotations, and so does {!eliminate_transposed}. *)

@@ -4,11 +4,10 @@
    chasing, and without bounds checks in the inner loops (indices are
    validated once at entry). Off-heap Bigarray storage — rather than
    OCaml float arrays — is what lets the C stubs hold stable data
-   pointers with no GC interaction: large kernels can drop the runtime
-   lock (see [blocking_threshold]) so pool domains overlap compute, and
-   the binary artifact codec can blit planes straight out of an mmapped
-   cache object. The flat representation is the load-bearing secret of
-   this module: no other file may assume it. *)
+   pointers with no GC interaction, and the binary artifact codec blit
+   planes straight out of an mmapped cache object. The flat
+   representation is the load-bearing secret of this module: no other
+   file may assume it. *)
 
 module A1 = Bigarray.Array1
 
@@ -691,17 +690,10 @@ let rot_params_sane c s ere eim =
    together with a φ sign flip they cover all four kernels. Arguments:
    re im count offset_m offset_n stride c s ere eim.
 
-   Each body has two lock disciplines. The [_fast] stubs are
-   [@@noalloc] and never touch the runtime — right for the sub-µs
-   kernels that dominate small-N compiles. Above [blocking_threshold]
-   elements, dispatch switches to the [_blk] stubs, which release the
-   OCaml runtime lock for the duration of the loop: Bigarray planes
-   are off-heap, so the GC is free to run (and pool domains free to
-   collect minor heaps) while a long strided rotation streams memory.
-   The threshold matches the paper's N≥128 tier, where a column
-   rotation walks ≥128 cache lines and the release/acquire pair
-   (~100ns) vanishes in the kernel time. *)
-external rot_pre_fast :
+   Both stubs are [@@noalloc] and keep the runtime lock: one call
+   rotates one pair of runs of at most N elements, too short a loop for
+   releasing the lock to pay, so entry costs a bare C call at every N. *)
+external rot_pre :
   plane ->
   plane ->
   (int[@untagged]) ->
@@ -715,7 +707,7 @@ external rot_pre_fast :
   unit = "bose_rot_pre_byte" "bose_rot_pre_nat"
 [@@noalloc]
 
-external rot_post_fast :
+external rot_post :
   plane ->
   plane ->
   (int[@untagged]) ->
@@ -728,53 +720,6 @@ external rot_post_fast :
   (float[@unboxed]) ->
   unit = "bose_rot_post_byte" "bose_rot_post_nat"
 [@@noalloc]
-
-(* The blocking stubs release/reacquire the runtime lock, so they must
-   NOT be [@@noalloc] — the reacquire may run pending actions. *)
-external rot_pre_blk :
-  plane ->
-  plane ->
-  (int[@untagged]) ->
-  (int[@untagged]) ->
-  (int[@untagged]) ->
-  (int[@untagged]) ->
-  (float[@unboxed]) ->
-  (float[@unboxed]) ->
-  (float[@unboxed]) ->
-  (float[@unboxed]) ->
-  unit = "bose_rot_pre_blk_byte" "bose_rot_pre_blk_nat"
-
-external rot_post_blk :
-  plane ->
-  plane ->
-  (int[@untagged]) ->
-  (int[@untagged]) ->
-  (int[@untagged]) ->
-  (int[@untagged]) ->
-  (float[@unboxed]) ->
-  (float[@unboxed]) ->
-  (float[@unboxed]) ->
-  (float[@unboxed]) ->
-  unit = "bose_rot_post_blk_byte" "bose_rot_post_blk_nat"
-
-let blocking_threshold = 128
-
-let lock_release_count = Atomic.make 0
-let lock_releases () = Atomic.get lock_release_count
-
-let[@inline] rot_pre re im count km kn stride c s ere eim =
-  if count >= blocking_threshold then begin
-    Atomic.incr lock_release_count;
-    rot_pre_blk re im count km kn stride c s ere eim
-  end
-  else rot_pre_fast re im count km kn stride c s ere eim
-
-let[@inline] rot_post re im count km kn stride c s ere eim =
-  if count >= blocking_threshold then begin
-    Atomic.incr lock_release_count;
-    rot_post_blk re im count km kn stride c s ere eim
-  end
-  else rot_post_fast re im count km kn stride c s ere eim
 
 (* u <- u.T†: for each row r,
    u(r,m)' = u(r,m).e^{-i phi} cos theta − u(r,n).sin theta
@@ -865,140 +810,6 @@ let rot_rows_t u ~m ~n ~theta ~phi =
 
 let rot_rows_t_dagger u ~m ~n ~theta ~phi =
   rot_rows_t_dagger_cs u ~m ~n ~c:(cos theta) ~s:(sin theta) ~ere:(cos phi) ~eim:(sin phi)
-
-(* ------------------------------------------------------------------ *)
-(* Fused multi-rotation sweeps. A Rotseq packs rotations as 8 doubles
-   each — m, n, c, s, ere, eim, bound, pad — in kernel form (any dagger
-   sign flip is baked in at push time by the Givens-layer helpers), so
-   the three C sweeps cover every caller. The column sweeps walk
-   row-outer, four rows per pass: each row receives the rotation
-   subsequence in order, so the bits of a row never depend on how a
-   caller partitions the row range across pool domains — the
-   determinism contract of the parallel elimination engines
-   (docs/ARCHITECTURE.md). *)
-
-module Rotseq = struct
-  type nonrec t = { mutable buf : plane; mutable len : int; mutable max_idx : int }
-
-  let stride = 8
-
-  let create ?(capacity = 64) () =
-    if capacity < 1 then invalid_arg "Mat.Rotseq.create: bad capacity";
-    (* A1.create, not make_plane: every slot is written before read. *)
-    { buf = A1.create Bigarray.float64 Bigarray.c_layout (stride * capacity);
-      len = 0;
-      max_idx = -1 }
-
-  let length t = t.len
-
-  let clear t =
-    t.len <- 0;
-    t.max_idx <- -1
-
-  let push t ~m ~n ~c ~s ~ere ~eim ~bound =
-    if m < 0 || n < 0 || m = n then invalid_arg "Mat.Rotseq.push: bad index pair";
-    assert (rot_params_sane c s ere eim);
-    let base = stride * t.len in
-    if base + stride > A1.dim t.buf then begin
-      let bigger = A1.create Bigarray.float64 Bigarray.c_layout (2 * A1.dim t.buf) in
-      A1.blit t.buf (A1.sub bigger 0 (A1.dim t.buf));
-      t.buf <- bigger
-    end;
-    A1.unsafe_set t.buf (base + 0) (float_of_int m);
-    A1.unsafe_set t.buf (base + 1) (float_of_int n);
-    A1.unsafe_set t.buf (base + 2) c;
-    A1.unsafe_set t.buf (base + 3) s;
-    A1.unsafe_set t.buf (base + 4) ere;
-    A1.unsafe_set t.buf (base + 5) eim;
-    A1.unsafe_set t.buf (base + 6) (float_of_int bound);
-    A1.unsafe_set t.buf (base + 7) 0.;
-    t.len <- t.len + 1;
-    if m > t.max_idx then t.max_idx <- m;
-    if n > t.max_idx then t.max_idx <- n
-end
-
-(* The sweep stubs mirror the rot_* declaration pattern: a [@@noalloc]
-   fast entry for small slices and a runtime-lock-releasing blocking
-   entry that Mat dispatches to above [blocking_threshold] units of
-   work (one unit = one rotation applied to one row/column — the same
-   granularity the per-rotation kernels count in). *)
-external sweep_cols_pre_fast :
-  plane -> plane -> plane ->
-  (int[@untagged]) -> (int[@untagged]) -> (int[@untagged]) ->
-  (int[@untagged]) -> (int[@untagged]) ->
-  unit = "bose_sweep_cols_pre_byte" "bose_sweep_cols_pre_nat"
-[@@noalloc]
-
-external sweep_cols_pre_blk :
-  plane -> plane -> plane ->
-  (int[@untagged]) -> (int[@untagged]) -> (int[@untagged]) ->
-  (int[@untagged]) -> (int[@untagged]) ->
-  unit = "bose_sweep_cols_pre_blk_byte" "bose_sweep_cols_pre_blk_nat"
-
-external sweep_cols_post_fast :
-  plane -> plane -> plane ->
-  (int[@untagged]) -> (int[@untagged]) -> (int[@untagged]) ->
-  (int[@untagged]) -> (int[@untagged]) ->
-  unit = "bose_sweep_cols_post_byte" "bose_sweep_cols_post_nat"
-[@@noalloc]
-
-external sweep_cols_post_blk :
-  plane -> plane -> plane ->
-  (int[@untagged]) -> (int[@untagged]) -> (int[@untagged]) ->
-  (int[@untagged]) -> (int[@untagged]) ->
-  unit = "bose_sweep_cols_post_blk_byte" "bose_sweep_cols_post_blk_nat"
-
-external sweep_rows_pre_fast :
-  plane -> plane -> plane ->
-  (int[@untagged]) -> (int[@untagged]) -> (int[@untagged]) ->
-  (int[@untagged]) -> (int[@untagged]) ->
-  unit = "bose_sweep_rows_pre_byte" "bose_sweep_rows_pre_nat"
-[@@noalloc]
-
-external sweep_rows_pre_blk :
-  plane -> plane -> plane ->
-  (int[@untagged]) -> (int[@untagged]) -> (int[@untagged]) ->
-  (int[@untagged]) -> (int[@untagged]) ->
-  unit = "bose_sweep_rows_pre_blk_byte" "bose_sweep_rows_pre_blk_nat"
-
-let check_sweep name (seq : Rotseq.t) ~rot_lo ~rot_hi ~lo ~hi ~extent ~idx_extent =
-  if rot_lo < 0 || rot_hi > seq.Rotseq.len || rot_lo > rot_hi then
-    invalid_arg (name ^ ": bad rotation range");
-  if lo < 0 || hi > extent || lo > hi then invalid_arg (name ^ ": bad slice range");
-  if seq.Rotseq.max_idx >= idx_extent then invalid_arg (name ^ ": rotation index out of bounds")
-
-let sweep_cols_pre u seq ~rot_lo ~rot_hi ~row_lo ~row_hi =
-  check_sweep "Mat.sweep_cols_pre" seq ~rot_lo ~rot_hi ~lo:row_lo ~hi:row_hi
-    ~extent:u.nrows ~idx_extent:u.ncols;
-  let work = (row_hi - row_lo) * (rot_hi - rot_lo) in
-  if work = 0 then ()
-  else if work >= blocking_threshold then begin
-    Atomic.incr lock_release_count;
-    sweep_cols_pre_blk u.re u.im seq.Rotseq.buf u.ncols row_lo row_hi rot_lo rot_hi
-  end
-  else sweep_cols_pre_fast u.re u.im seq.Rotseq.buf u.ncols row_lo row_hi rot_lo rot_hi
-
-let sweep_cols_post u seq ~rot_lo ~rot_hi ~row_lo ~row_hi =
-  check_sweep "Mat.sweep_cols_post" seq ~rot_lo ~rot_hi ~lo:row_lo ~hi:row_hi
-    ~extent:u.nrows ~idx_extent:u.ncols;
-  let work = (row_hi - row_lo) * (rot_hi - rot_lo) in
-  if work = 0 then ()
-  else if work >= blocking_threshold then begin
-    Atomic.incr lock_release_count;
-    sweep_cols_post_blk u.re u.im seq.Rotseq.buf u.ncols row_lo row_hi rot_lo rot_hi
-  end
-  else sweep_cols_post_fast u.re u.im seq.Rotseq.buf u.ncols row_lo row_hi rot_lo rot_hi
-
-let sweep_rows_pre u seq ~rot_lo ~rot_hi ~col_lo ~col_hi =
-  check_sweep "Mat.sweep_rows_pre" seq ~rot_lo ~rot_hi ~lo:col_lo ~hi:col_hi
-    ~extent:u.ncols ~idx_extent:u.nrows;
-  let work = (col_hi - col_lo) * (rot_hi - rot_lo) in
-  if work = 0 then ()
-  else if work >= blocking_threshold then begin
-    Atomic.incr lock_release_count;
-    sweep_rows_pre_blk u.re u.im seq.Rotseq.buf u.ncols col_lo col_hi rot_lo rot_hi
-  end
-  else sweep_rows_pre_fast u.re u.im seq.Rotseq.buf u.ncols col_lo col_hi rot_lo rot_hi
 
 (* ------------------------------------------------------------------ *)
 (* Binary plane codec. The serialized form of a matrix's payload is

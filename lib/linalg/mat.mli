@@ -5,11 +5,10 @@
     this type. Storage is a single contiguous row-major off-heap
     [Bigarray] plane per component (real/imaginary) behind this
     abstract type — no other module may assume the layout. Off-heap
-    planes give the C kernels stable data pointers (no GC interaction),
-    which is what lets large kernels release the OCaml runtime lock
-    (see {!blocking_threshold}) and the binary artifact codec blit
-    planes straight out of mmapped cache objects. Functions are
-    documented as pure unless their name says otherwise.
+    planes give the C kernels stable data pointers (no GC interaction)
+    and let the binary artifact codec blit planes straight out of
+    mmapped cache objects. Functions are documented as pure unless
+    their name says otherwise.
 
     Beyond the constructors and elementwise operations, the module is a
     kernel layer: in-place Givens rotations ([rot_*]), BLAS-style
@@ -208,7 +207,7 @@ val rot_rows_t_dagger_cs :
 
 (** {2 Column rotations of a transposed matrix}
 
-    The small-N elimination and replay engines keep their scratch
+    The elimination and replay engines keep their scratch
     transposed: [wt] holds uᵀ, so column j of u is the contiguous row j
     of [wt], and a column rotation of u is one unit-stride rotation of a
     row pair of [wt]. Each entry of u gets the same element arithmetic,
@@ -227,78 +226,6 @@ val rot_cols_t_transposed :
   t -> m:int -> n:int -> c:float -> s:float -> ere:float -> eim:float -> unit
 (** [rot_cols_t_transposed wt …] makes to uᵀ the update {!rot_cols_t_cs}
     makes to u: [u ← u · T], rows [m] and [n] of [wt] in full. *)
-
-(** {1 Fused rotation sweeps}
-
-    A {!Rotseq.t} packs an ordered run of Givens rotations into one
-    off-heap buffer (8 float64 slots each) so a single C call can
-    apply a whole anti-diagonal of a Clements sweep per pass, BLAS
-    [rotm]-style, instead of one kernel entry per rotation. Rotations
-    are stored in {e kernel} form: the pusher bakes in any dagger sign
-    flip on the phase (see the [Givens.seq_push_*] helpers), so three
-    sweep bodies cover every decomposition/replay caller.
-
-    The column sweeps iterate row-outer in blocks of four rows: each
-    packed rotation is loaded once per block and applied to the four
-    rows in turn, so four independent dependency chains share the
-    floating-point units even when every rotation reads the entry the
-    previous one wrote (the adjacent pairs of elimination and replay).
-    Leftover rows go one at a time through the same per-row code.
-
-    Determinism contract: per row, the column sweeps apply the
-    rotations in packed order with the same arithmetic whether the row
-    sits in a block or in the tail, and the row sweep applies rotations
-    in packed order per column, so the resulting bits of any row (resp.
-    column) depend only on the rotation subsequence — never on how
-    callers split the row/column range across pool domains, nor on
-    where the four-row blocks fall. The parallel elimination engines
-    (docs/ARCHITECTURE.md, "Parallel execution") rely on exactly this.
-
-    Like the per-rotation kernels, a sweep whose work — (slice width) ×
-    (rotation count) — reaches {!blocking_threshold} dispatches to a
-    runtime-lock-releasing C variant and counts in {!lock_releases}. *)
-
-module Rotseq : sig
-  type t
-
-  val create : ?capacity:int -> unit -> t
-  (** Growable packed sequence; [capacity] (default 64) is the initial
-      rotation capacity. *)
-
-  val length : t -> int
-  (** Rotations currently packed. *)
-
-  val clear : t -> unit
-  (** Reset to empty (storage retained). *)
-
-  val push :
-    t -> m:int -> n:int -> c:float -> s:float -> ere:float -> eim:float ->
-    bound:int -> unit
-  (** Append one rotation in kernel form. [bound] is the rotation's
-      applicability limit: for column sweeps, the exclusive row bound
-      (apply to row [r] iff [r < bound] — the [?nrows] restriction);
-      for the row sweep, the first column touched (the [?first]
-      restriction). Pass the matrix extent when unrestricted.
-      @raise Invalid_argument on a bad [m]/[n] pair. *)
-end
-
-val sweep_cols_pre : t -> Rotseq.t -> rot_lo:int -> rot_hi:int -> row_lo:int -> row_hi:int -> unit
-(** Apply the packed subsequence [\[rot_lo, rot_hi)] to rows
-    [\[row_lo, row_hi)], each rotation mixing columns [m]/[n] with the
-    phase multiplying the [m] plane {e before} the real rotation — the
-    fused form of {!rot_cols_t_dagger_cs} (push with [eim] negated).
-    @raise Invalid_argument on bad ranges or out-of-range columns. *)
-
-val sweep_cols_post : t -> Rotseq.t -> rot_lo:int -> rot_hi:int -> row_lo:int -> row_hi:int -> unit
-(** As {!sweep_cols_pre} with the phase applied {e after} the real
-    rotation — the fused form of {!rot_cols_t_cs}, used by the
-    fidelity-replay path. *)
-
-val sweep_rows_pre : t -> Rotseq.t -> rot_lo:int -> rot_hi:int -> col_lo:int -> col_hi:int -> unit
-(** Apply the packed subsequence to columns [\[col_lo, col_hi)], each
-    rotation mixing rows [m]/[n] from column [max col_lo bound] on —
-    the fused form of {!rot_rows_t_cs}.
-    @raise Invalid_argument on bad ranges or out-of-range rows. *)
 
 (** {1 Views}
 
@@ -394,17 +321,6 @@ val bytes_offheap : unit -> int
     start (16 bytes per element: two float64 planes). The off-heap twin
     of the GC-words allocation gauges; feeds [mat.bytes_offheap]
     (docs/METRICS.md). Monotone — sample a delta around a region. *)
-
-val blocking_threshold : int
-(** Element count at and above which the in-place rotation kernels
-    dispatch to their runtime-lock-releasing C variants, letting pool
-    domains overlap compute and GC during long kernels. Below it the
-    plain [@@noalloc] fast path keeps kernel entry at ~a C call. *)
-
-val lock_releases : unit -> int
-(** Number of kernel invocations that released the OCaml runtime lock
-    (count ≥ {!blocking_threshold}). Feeds [mat.lock_releases]
-    (docs/METRICS.md). Monotone. *)
 
 (** {1 Binary plane codec}
 

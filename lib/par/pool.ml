@@ -168,18 +168,6 @@ let chunked_iter t ~chunks ~n f =
     run t ~tasks:chunks (fun c -> f ~chunk:c ~lo:(lo c) ~hi:(lo (c + 1)))
   end
 
-(* The fused elimination/replay engines all share the same dispatch:
-   split [0, n) across the pool when one is present and worth waking,
-   otherwise run the whole range inline. Slice boundaries come from
-   [chunked_iter], so they depend only on (domains, n) — callers whose
-   per-index work is order-independent within a slice stay bit-identical
-   at every pool size. *)
-let bulk_iter pool ~n f =
-  match pool with
-  | Some t when t.size > 1 && n > 1 ->
-    chunked_iter t ~chunks:t.size ~n (fun ~chunk:_ ~lo ~hi -> f ~lo ~hi)
-  | _ -> if n > 0 then f ~lo:0 ~hi:n
-
 let shutdown t =
   Mutex.lock t.mu;
   if t.closed then Mutex.unlock t.mu

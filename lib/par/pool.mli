@@ -6,8 +6,8 @@
     [n]-way parallelism with [n - 1] spawns. Tasks of a batch are
     claimed from a shared cursor under the pool mutex — coarse-grained
     on purpose: every intended workload (a compile job, a chain of
-    sampler shots, a chunk of Monte-Carlo trials) runs orders of
-    magnitude longer than a mutex round-trip.
+    sampler shots) runs orders of magnitude longer than a mutex
+    round-trip.
 
     {b Telemetry.} Each worker domain carries its own
     {!Bose_obs.Obs.Local} sink, so pool tasks may record counters,
@@ -60,15 +60,6 @@ val chunked_iter : t -> chunks:int -> n:int -> (chunk:int -> lo:int -> hi:int ->
     The slice boundaries depend only on [chunks] and [n] — callers key
     per-chunk state (caches, workspaces, RNG streams) off [chunk] and
     get scheduling-independent results. *)
-
-val bulk_iter : t option -> n:int -> (lo:int -> hi:int -> unit) -> unit
-(** [bulk_iter pool ~n f] covers [0 .. n - 1] with [f ~lo ~hi] slices:
-    one slice per domain through {!chunked_iter} when [pool] is
-    [Some p] with [domains p > 1] (and [n > 1]), a single inline
-    [f ~lo:0 ~hi:n] call otherwise. The shared dispatch of the fused
-    elimination and replay engines: slice boundaries depend only on
-    the domain count and [n], so per-index-independent work is
-    bit-identical at every pool size. *)
 
 val shutdown : t -> unit
 (** Stop and join every worker. Idempotent; the pool rejects further

@@ -4,10 +4,12 @@
    search and the xoshiro256** generator as they were before the
    per-trial overhead was taken out of polish and dropout, the
    Householder QR behind the Haar draws and the plan replay as they
-   were before the small-N kernels moved to unit stride, the
-   Printf/Scanf text codecs of Plan and Unitary, and the per-byte JSON
-   string printer. They are slow on purpose — full decompositions per
-   trial, strided column rotations, full-matrix stage sweeps, boxed
+   were before the kernels moved to unit stride, the Printf/Scanf text
+   codecs of Plan and Unitary, and the per-byte JSON string printer.
+   The decomposition and the replay share nothing with the library's
+   elimination and replay engines but the Givens derivation and the C
+   rotation bodies. They are slow on purpose — full decompositions per
+   trial, strided column rotations over every row at every stage, boxed
    entries, polymorphic sorts, a boxed RNG state, a format interpreter
    per line, a closure call per byte — and the library's versions must
    reproduce their every bit. *)
@@ -151,47 +153,21 @@ let full_schedule t =
     (List.init (size - 1) (fun i -> i))
 
 (* Decomposition with a fresh work matrix per call, the rotations kept
-   in a list: per-call column kernels below Mat.blocking_threshold, the
-   fused stage sweeps (serially) at or above it. Every stage rotates
-   every row, the finished rows below the stage row included. *)
+   in a list, one strided full-column [Givens.eliminate] per rotation
+   at every N: every stage rotates every row, the finished rows below
+   the stage row included. *)
 let decompose pattern u =
   let n = Pattern.size pattern in
   let work = Mat.copy u in
   let elements = ref [] in
-  let schedule = full_schedule pattern in
-  if n >= Mat.blocking_threshold then begin
-    let seq = Mat.Rotseq.create ~capacity:n () in
-    List.iter
-      (fun (row, pairs) ->
-         Mat.Rotseq.clear seq;
-         List.iter
-           (fun (m, cn) ->
-              let rotation = Givens.solve work ~row ~m ~n:cn in
-              if not (Givens.is_identity rotation) then begin
-                let len = Mat.Rotseq.length seq in
-                Givens.seq_push_t_dagger_right seq rotation ~nrows:n;
-                Mat.sweep_cols_pre work seq ~rot_lo:len ~rot_hi:(len + 1) ~row_lo:row
-                  ~row_hi:(row + 1);
-                Mat.set work row m Cx.zero
-              end;
-              elements := { Plan.rotation; row } :: !elements)
-           pairs;
-         let len = Mat.Rotseq.length seq in
-         if len > 0 then begin
-           Mat.sweep_cols_pre work seq ~rot_lo:0 ~rot_hi:len ~row_lo:0 ~row_hi:row;
-           Mat.sweep_cols_pre work seq ~rot_lo:0 ~rot_hi:len ~row_lo:(row + 1) ~row_hi:n
-         end)
-      schedule
-  end
-  else
-    List.iter
-      (fun (row, pairs) ->
-         List.iter
-           (fun (m, cn) ->
-              let rotation = Givens.eliminate work ~row ~m ~n:cn in
-              elements := { Plan.rotation; row } :: !elements)
-           pairs)
-      schedule;
+  List.iter
+    (fun (row, pairs) ->
+       List.iter
+         (fun (m, cn) ->
+            let rotation = Givens.eliminate work ~row ~m ~n:cn in
+            elements := { Plan.rotation; row } :: !elements)
+         pairs)
+    (full_schedule pattern);
   let lambda =
     Array.init n (fun i ->
         let d = Mat.get work i i in
@@ -525,3 +501,19 @@ let json_string s =
     s;
   Buffer.add_char buf '"';
   Buffer.contents buf
+
+(* ---- Plan equality bit for bit: what equal hex-float plan text means ---- *)
+
+let same_plan (a : Plan.t) (b : Plan.t) =
+  let same_bits x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
+  let same_cx (x : Cx.t) (y : Cx.t) = same_bits x.re y.re && same_bits x.im y.im in
+  let same_element (x : Plan.element) (y : Plan.element) =
+    let r = x.Plan.rotation and q = y.Plan.rotation in
+    x.Plan.row = y.Plan.row && r.Givens.m = q.Givens.m && r.Givens.n = q.Givens.n
+    && same_bits r.Givens.c q.Givens.c && same_bits r.Givens.s q.Givens.s
+    && same_bits r.Givens.ere q.Givens.ere && same_bits r.Givens.eim q.Givens.eim
+  in
+  a.Plan.modes = b.Plan.modes
+  && Array.length a.Plan.elements = Array.length b.Plan.elements
+  && Array.for_all2 same_element a.Plan.elements b.Plan.elements
+  && Array.for_all2 same_cx a.Plan.lambda b.Plan.lambda

@@ -2,6 +2,8 @@
 
 module Rng = Bose_util.Rng
 module Pattern = Bose_hardware.Pattern
+module Lattice = Bose_hardware.Lattice
+module Embedding = Bose_hardware.Embedding
 module Plan = Bose_decomp.Plan
 module Eliminate = Bose_decomp.Eliminate
 open Bose_linalg
@@ -545,13 +547,11 @@ let ref_rot_rows_t_dagger u ~m ~n ~c ~s ~ere ~eim =
 
 let test_rot_kernels_match_reference () =
   let rng = Rng.create 60 in
-  (* Ragged shapes from degenerate through odd primes up to past the
-     blocking threshold, so both lock disciplines are exercised and
-     compared against the same reference. *)
+  (* Ragged shapes from degenerate through odd primes up to the paper's
+     N >= 128 tier, all compared against the same reference. *)
   let shapes =
-    [ (1, 2); (2, 1); (2, 2); (3, 5); (5, 3); (7, 13); (31, 33); (64, 64);
-      (Mat.blocking_threshold, 5); (5, Mat.blocking_threshold);
-      (Mat.blocking_threshold + 22, Mat.blocking_threshold + 22) ]
+    [ (1, 2); (2, 1); (2, 2); (3, 5); (5, 3); (7, 13); (31, 33); (64, 64); (128, 5);
+      (5, 128); (150, 150) ]
   in
   let pick2 rng dim =
     let m = Rng.int rng dim and n = Rng.int rng dim in
@@ -613,234 +613,6 @@ let test_rot_kernels_match_reference () =
        end)
     shapes
 
-(* The size dispatch is observable: a kernel whose run length reaches
-   Mat.blocking_threshold goes through the lock-releasing C entry
-   points and bumps the lock_releases counter; a small one does not. *)
-let test_blocking_dispatch_observable () =
-  let rng = Rng.create 62 in
-  let small = random_mat rng 8 8 in
-  let locks0 = Mat.lock_releases () in
-  Mat.rot_cols_t_cs small ~m:0 ~n:1 ~c:0.8 ~s:0.6 ~ere:1.0 ~eim:0.0;
-  Alcotest.(check int) "small kernel stays on the fast path" locks0 (Mat.lock_releases ());
-  let big = random_mat rng Mat.blocking_threshold 4 in
-  Mat.rot_cols_t_cs big ~m:0 ~n:1 ~c:0.8 ~s:0.6 ~ere:1.0 ~eim:0.0;
-  Alcotest.(check int) "threshold-size kernel releases the lock" (locks0 + 1)
-    (Mat.lock_releases ());
-  (* Row rotations dispatch on the column count. *)
-  let wide = random_mat rng 4 Mat.blocking_threshold in
-  Mat.rot_rows_t_cs wide ~m:0 ~n:1 ~c:0.8 ~s:0.6 ~ere:1.0 ~eim:0.0;
-  Alcotest.(check int) "wide row rotation releases the lock" (locks0 + 2)
-    (Mat.lock_releases ())
-
-(* ------------------------------------------- fused sweep kernels *)
-
-(* Pure get/set references for the fused sweep stubs: apply the packed
-   rotations one at a time, honoring each rotation's bound (row limit
-   for the column sweeps, first column for the row sweep). Rotation-
-   outer here vs row-outer in C is immaterial — rows are independent —
-   so any disagreement is a real stub bug, not an ordering artifact. *)
-
-type sweep_rot = {
-  sm : int; sn : int; sc : float; ss : float; sere : float; seim : float; sbound : int;
-}
-
-let random_sweep_rots rng ~count ~dim ~max_bound =
-  Array.init count (fun _ ->
-      let m = Rng.int rng dim in
-      let n = Rng.int rng dim in
-      let n = if n = m then (m + 1) mod dim else n in
-      let theta = Rng.float rng 6.3 and phi = Rng.float rng 6.3 -. 3.15 in
-      { sm = m; sn = n; sc = cos theta; ss = sin theta; sere = cos phi;
-        seim = sin phi; sbound = Rng.int rng (max_bound + 1) })
-
-let pack_rots rots =
-  let seq = Mat.Rotseq.create ~capacity:4 () in
-  Array.iter
-    (fun r ->
-       Mat.Rotseq.push seq ~m:r.sm ~n:r.sn ~c:r.sc ~s:r.ss ~ere:r.sere ~eim:r.seim
-         ~bound:r.sbound)
-    rots;
-  seq
-
-let ref_sweep_cols step u rots ~rot_lo ~rot_hi ~row_lo ~row_hi =
-  for t = rot_lo to rot_hi - 1 do
-    let r = rots.(t) in
-    for i = row_lo to row_hi - 1 do
-      if i < r.sbound then begin
-        let a, b =
-          step (parts (Mat.get u i r.sm)) (parts (Mat.get u i r.sn)) r.sc r.ss r.sere
-            r.seim
-        in
-        Mat.set u i r.sm (cx a);
-        Mat.set u i r.sn (cx b)
-      end
-    done
-  done
-
-let ref_sweep_rows_pre u rots ~rot_lo ~rot_hi ~col_lo ~col_hi =
-  for t = rot_lo to rot_hi - 1 do
-    let r = rots.(t) in
-    for j = max col_lo r.sbound to col_hi - 1 do
-      let a, b =
-        pre_step (parts (Mat.get u r.sm j)) (parts (Mat.get u r.sn j)) r.sc r.ss r.sere
-          r.seim
-      in
-      Mat.set u r.sm j (cx a);
-      Mat.set u r.sn j (cx b)
-    done
-  done
-
-let test_sweep_kernels_match_reference () =
-  let rng = Rng.create 63 in
-  (* Ragged sizes from degenerate through the blocking threshold up to
-     the paper's N=500 tier, so both lock disciplines run against the
-     same reference. *)
-  let sizes = [ 2; 3; 7; 31; 64; 127; Mat.blocking_threshold; 129; 200; 500 ] in
-  let check label native reference u =
-    let got = Mat.copy u and want = Mat.copy u in
-    native got;
-    reference want;
-    Alcotest.(check bool) label true (Mat.equal ~tol:1e-12 got want)
-  in
-  List.iter
-    (fun dim ->
-       let u = random_mat rng dim dim in
-       let count = min dim 40 in
-       (* Column sweeps: bound is an exclusive row limit. *)
-       let rots = random_sweep_rots rng ~count ~dim ~max_bound:dim in
-       let seq = pack_rots rots in
-       let rot_mid = count / 2 and row_mid = dim / 2 in
-       List.iter
-         (fun (rot_lo, rot_hi, row_lo, row_hi) ->
-            let lbl =
-              Printf.sprintf "N=%d rots=[%d,%d) rows=[%d,%d)" dim rot_lo rot_hi row_lo
-                row_hi
-            in
-            check ("sweep_cols_pre " ^ lbl)
-              (fun w -> Mat.sweep_cols_pre w seq ~rot_lo ~rot_hi ~row_lo ~row_hi)
-              (fun w -> ref_sweep_cols pre_step w rots ~rot_lo ~rot_hi ~row_lo ~row_hi)
-              u;
-            check ("sweep_cols_post " ^ lbl)
-              (fun w -> Mat.sweep_cols_post w seq ~rot_lo ~rot_hi ~row_lo ~row_hi)
-              (fun w -> ref_sweep_cols post_step w rots ~rot_lo ~rot_hi ~row_lo ~row_hi)
-              u)
-         [ (0, count, 0, dim); (0, count, row_mid, dim); (rot_mid, count, 0, row_mid);
-           (0, 0, 0, dim); (0, count, 0, 0) ];
-       (* Row sweep: bound is the first column touched. *)
-       let rots = random_sweep_rots rng ~count ~dim ~max_bound:(dim - 1) in
-       let seq = pack_rots rots in
-       List.iter
-         (fun (rot_lo, rot_hi, col_lo, col_hi) ->
-            let lbl =
-              Printf.sprintf "N=%d rots=[%d,%d) cols=[%d,%d)" dim rot_lo rot_hi col_lo
-                col_hi
-            in
-            check ("sweep_rows_pre " ^ lbl)
-              (fun w -> Mat.sweep_rows_pre w seq ~rot_lo ~rot_hi ~col_lo ~col_hi)
-              (fun w -> ref_sweep_rows_pre w rots ~rot_lo ~rot_hi ~col_lo ~col_hi)
-              u)
-         [ (0, count, 0, dim); (0, count, row_mid, dim); (rot_mid, count, 0, row_mid) ])
-    sizes
-
-(* The determinism contract of the parallel engines: splitting a sweep's
-   row (or column) range at any point yields bitwise-identical planes,
-   because each row sees the same rotation subsequence in the same
-   order. Pinned at tol 0. The column sweeps go four rows at a time, so
-   their cuts fall at every offset mod 4, each row is also swept alone,
-   and besides random pairs they get a chain of adjacent pairs — the
-   elimination and replay shape, each rotation reading the entry the
-   previous one wrote — whose staircase bounds end inside 4-row blocks. *)
-let test_sweep_split_bit_identity () =
-  let rng = Rng.create 64 in
-  List.iter
-    (fun dim ->
-       let u = random_mat rng dim dim in
-       let count = min dim 24 in
-       let random = random_sweep_rots rng ~count ~dim ~max_bound:dim in
-       let chain =
-         Array.init (dim - 1) (fun k ->
-             { (random.(k mod count)) with sm = k; sn = k + 1; sbound = dim - k })
-       in
-       List.iter
-         (fun (shape, rots) ->
-            let seq = pack_rots rots and rot_hi = Array.length rots in
-            List.iter
-              (fun (name, sweep) ->
-                 let label what = Printf.sprintf "%s %s %s, N=%d" name shape what dim in
-                 let whole = Mat.copy u in
-                 sweep whole seq ~rot_lo:0 ~rot_hi ~row_lo:0 ~row_hi:dim;
-                 List.iter
-                   (fun cut ->
-                      let split = Mat.copy u in
-                      sweep split seq ~rot_lo:0 ~rot_hi ~row_lo:0 ~row_hi:cut;
-                      sweep split seq ~rot_lo:0 ~rot_hi ~row_lo:cut ~row_hi:dim;
-                      Alcotest.(check bool)
-                        (label (Printf.sprintf "split at %d bit-identical" cut))
-                        true (Mat.equal ~tol:0. split whole))
-                   (List.filter (fun cut -> cut < dim)
-                      [ 1; 2; 3; 4; 5; dim / 3; dim / 2; dim - 1 ]);
-                 let rows = Mat.copy u in
-                 for r = 0 to dim - 1 do
-                   sweep rows seq ~rot_lo:0 ~rot_hi ~row_lo:r ~row_hi:(r + 1)
-                 done;
-                 Alcotest.(check bool) (label "1-row slices bit-identical") true
-                   (Mat.equal ~tol:0. rows whole))
-              [
-                ("sweep_cols_pre", Mat.sweep_cols_pre);
-                ("sweep_cols_post", Mat.sweep_cols_post);
-              ])
-         [ ("random", random); ("chain", chain) ];
-       let rots = random_sweep_rots rng ~count ~dim ~max_bound:(dim - 1) in
-       let seq = pack_rots rots in
-       let whole = Mat.copy u in
-       Mat.sweep_rows_pre whole seq ~rot_lo:0 ~rot_hi:count ~col_lo:0 ~col_hi:dim;
-       List.iter
-         (fun cut ->
-            let split = Mat.copy u in
-            Mat.sweep_rows_pre split seq ~rot_lo:0 ~rot_hi:count ~col_lo:0 ~col_hi:cut;
-            Mat.sweep_rows_pre split seq ~rot_lo:0 ~rot_hi:count ~col_lo:cut ~col_hi:dim;
-            Alcotest.(check bool)
-              (Printf.sprintf "rows split at %d of %d bit-identical" cut dim)
-              true (Mat.equal ~tol:0. split whole))
-         [ 1; dim / 3; dim - 1 ])
-    [ 3; 5; 64; Mat.blocking_threshold + 22 ]
-
-(* A fused sweep must agree with the per-rotation _cs kernels applied in
-   the same order. Tolerance, not bitwise: the fused and per-call C
-   loops are separate compilation contexts, so FMA contraction may
-   differ — which is exactly why the engines select by size only and
-   never mix the two paths within one decomposition. *)
-let test_sweep_agrees_with_percall_kernels () =
-  let rng = Rng.create 65 in
-  let dim = 40 in
-  let count = 12 in
-  let u = random_mat rng dim dim in
-  let rots =
-    Array.map
-      (fun r -> { r with sbound = dim })
-      (random_sweep_rots rng ~count ~dim ~max_bound:0)
-  in
-  let seq = pack_rots rots in
-  let fused = Mat.copy u and percall = Mat.copy u in
-  Mat.sweep_cols_post fused seq ~rot_lo:0 ~rot_hi:count ~row_lo:0 ~row_hi:dim;
-  Array.iter
-    (fun r ->
-       Mat.rot_cols_t_cs percall ~m:r.sm ~n:r.sn ~c:r.sc ~s:r.ss ~ere:r.sere ~eim:r.seim)
-    rots;
-  Alcotest.(check bool) "sweep_cols_post = rot_cols_t_cs chain" true
-    (Mat.equal ~tol:1e-12 fused percall);
-  let rrots = random_sweep_rots rng ~count ~dim ~max_bound:(dim - 1) in
-  let rseq = pack_rots rrots in
-  let fused = Mat.copy u and percall = Mat.copy u in
-  Mat.sweep_rows_pre fused rseq ~rot_lo:0 ~rot_hi:count ~col_lo:0 ~col_hi:dim;
-  Array.iter
-    (fun r ->
-       Mat.rot_rows_t_cs ~first:r.sbound percall ~m:r.sm ~n:r.sn ~c:r.sc ~s:r.ss
-         ~ere:r.sere ~eim:r.seim)
-    rrots;
-  Alcotest.(check bool) "sweep_rows_pre = rot_rows_t_cs chain" true
-    (Mat.equal ~tol:1e-12 fused percall)
-
 (* Binary plane codec: encode → decode must be bit-exact through both
    the string reader and the (possibly misaligned) bigbytes reader,
    and the Bigarray FNV-1a stub must agree with the pure-OCaml hash. *)
@@ -869,12 +641,13 @@ let test_plane_codec_roundtrip () =
           = Bose_util.Fnv.string Bose_util.Fnv.seed s))
     [ (1, 1); (3, 5); (8, 8); (1, 17) ]
 
-(* ------------------------------------------- small-N kernels vs oracles *)
+(* ------------------------------------------- unit-stride kernels vs oracles *)
 
-(* The unit-stride small-N engines (Haar QR on the flat planes, the
-   transposed elimination walk, the transposed replay) against the
-   boxed and strided references in oracle.ml, bit for bit: equal hex
-   float text is equal bits. *)
+(* The unit-stride engines (Haar QR on the flat planes, the transposed
+   elimination walk, the transposed replay) against the boxed and
+   strided references in oracle.ml, bit for bit: equal hex float text
+   is equal bits. The properties draw N up to 160; the fixed cases
+   below reach the paper's N=500 tier. *)
 
 let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 let same_matrix a b = Unitary.to_string a = Unitary.to_string b
@@ -894,14 +667,14 @@ let test_draws_match_oracle_at_threshold () =
   List.iter
     (fun n ->
        Alcotest.(check bool) (Printf.sprintf "N=%d draws" n) true (draws_match_oracle ~seed:n n))
-    [ Mat.blocking_threshold - 1; Mat.blocking_threshold; Mat.blocking_threshold + 1 ]
+    [ 127; 128; 129 ]
 
 let small_pattern st n chain = if chain then Pattern.chain n else Oracle.random_pattern st n
 
 let prop_walk_matches_oracle =
   QCheck.Test.make ~name:"small-N walk matches the strided decomposition, chain and tree"
     ~count:30
-    QCheck.(triple (int_range 2 (Mat.blocking_threshold - 1)) bool int)
+    QCheck.(triple (int_range 2 160) bool int)
     (fun (n, chain, seed) ->
        let pattern = small_pattern (Random.State.make [| seed |]) n chain in
        let u = Unitary.haar_random (Rng.create seed) n in
@@ -916,7 +689,7 @@ let prop_walk_matches_oracle =
 
 let prop_replay_matches_oracle =
   QCheck.Test.make ~name:"small-N masked replay matches the strided replay" ~count:30
-    QCheck.(triple (int_range 2 (Mat.blocking_threshold - 1)) bool int)
+    QCheck.(triple (int_range 2 160) bool int)
     (fun (n, chain, seed) ->
        let st = Random.State.make [| seed |] in
        let pattern = small_pattern st n chain in
@@ -928,6 +701,38 @@ let prop_replay_matches_oracle =
        && same_matrix (Plan.reconstruct ~kept plan) (Oracle.reconstruct ~kept plan)
        && same_bits (Plan.fidelity ~kept plan u) (Oracle.fidelity ~kept plan u)
        && same_bits (Plan.fidelity ~ws ~kept plan u) (Oracle.fidelity ~kept plan u))
+
+(* The plan, [angles_into] bits and masked fidelity bits against the
+   strided full-column reference, on chains either side of 128 and 256
+   and at 500, and on two lattice embeddings (N = 144 and 500). One
+   Haar draw per N, shared by the patterns of that size. *)
+let test_walk_and_replay_match_oracle_large () =
+  let check u (label, pattern) =
+    let n = Pattern.size pattern in
+    let want = Oracle.decompose pattern u in
+    let ws = Mat.workspace () in
+    let plan = Eliminate.decompose ~ws pattern u in
+    Alcotest.(check bool) (label ^ ": plan bits") true (Oracle.same_plan plan want);
+    let sched = Eliminate.schedule pattern in
+    let angles = Array.make (Eliminate.rotation_count sched) 0. in
+    Eliminate.angles_into sched ~work:(Mat.create n n) u angles;
+    Alcotest.(check bool) (label ^ ": angles_into bits") true
+      (Array.for_all2 same_bits angles (Plan.angles want));
+    let kept = Array.init (Plan.rotation_count plan) (fun i -> i mod 8 <> 5) in
+    Alcotest.(check bool) (label ^ ": masked fidelity bits") true
+      (same_bits (Plan.fidelity ~ws ~kept plan u) (Oracle.fidelity ~kept want u))
+  in
+  let lattice rows cols n = Embedding.for_program (Lattice.create ~rows ~cols) n in
+  List.iter
+    (fun (n, patterns) -> List.iter (check (Unitary.haar_random (Rng.create (700 + n)) n)) patterns)
+    [
+      (128, [ ("chain128", Pattern.chain 128) ]);
+      (129, [ ("chain129", Pattern.chain 129) ]);
+      (144, [ ("lattice12x12", lattice 12 12 144) ]);
+      (255, [ ("chain255", Pattern.chain 255) ]);
+      (256, [ ("chain256", Pattern.chain 256) ]);
+      (500, [ ("chain500", Pattern.chain 500); ("lattice23x22", lattice 23 22 500) ]);
+    ]
 
 (* ------------------------------------------------------------ properties *)
 
@@ -1085,17 +890,11 @@ let () =
           Alcotest.test_case "trace_mul" `Quick test_trace_mul_matches;
           Alcotest.test_case "rot kernels vs pure-OCaml reference" `Quick
             test_rot_kernels_match_reference;
-          Alcotest.test_case "blocking dispatch observable" `Quick
-            test_blocking_dispatch_observable;
-          Alcotest.test_case "sweep kernels vs pure-OCaml reference" `Quick
-            test_sweep_kernels_match_reference;
-          Alcotest.test_case "sweep split bit-identity" `Quick
-            test_sweep_split_bit_identity;
-          Alcotest.test_case "sweep vs per-rotation kernels" `Quick
-            test_sweep_agrees_with_percall_kernels;
           Alcotest.test_case "plane codec round-trip" `Quick test_plane_codec_roundtrip;
           Alcotest.test_case "draws match the boxed QR at N = 127..129" `Quick
             test_draws_match_oracle_at_threshold;
+          Alcotest.test_case "walk and replay match the strided reference, N = 128..500"
+            `Quick test_walk_and_replay_match_oracle_large;
         ]
         @ List.map (fun t -> QCheck_alcotest.to_alcotest t)
             [ prop_draws_match_oracle; prop_walk_matches_oracle; prop_replay_matches_oracle ] );

@@ -9,6 +9,7 @@ module Json = Bose_util.Json
 module Unitary = Bose_linalg.Unitary
 module Lattice = Bose_hardware.Lattice
 module Circuit = Bose_circuit.Circuit
+module Eliminate = Bose_decomp.Eliminate
 open Bosehedral
 
 (* Every test runs against the same global registry: start from a clean
@@ -80,6 +81,40 @@ let test_histogram_bad_bounds () =
   Alcotest.check_raises "non-increasing bounds rejected"
     (Invalid_argument "Obs.Histo.make: bounds must be strictly increasing")
     (fun () -> ignore (Obs.Histo.make "test.histo_bad" ~bounds:[| 1.0; 1.0 |]))
+
+(* The angle histogram holds the angles of plans built: a search-loop
+   score ([Eliminate.angles_into]) counts as a decomposition but
+   observes no angle, and a [decompose] observes each of its rotations
+   exactly once. *)
+let test_angle_histogram_per_plan () =
+  with_clean_obs (fun () ->
+      let n = 12 in
+      let u = Unitary.haar_random (Rng.create 5) n in
+      let pattern = Bose_hardware.Pattern.chain n in
+      let angles_seen () =
+        let r = Obs.Report.capture () in
+        match
+          List.find_opt
+            (fun h -> h.Obs.Report.name = "decomp.rotation_angles")
+            r.Obs.Report.histograms
+        with
+        | Some h -> Array.fold_left ( + ) 0 h.Obs.Report.counts
+        | None -> 0
+      in
+      let decompositions () =
+        Obs.Report.counter (Obs.Report.capture ()) "decomp.decompositions"
+        |> Option.value ~default:0
+      in
+      let sched = Eliminate.schedule pattern in
+      let angles = Array.make (Eliminate.rotation_count sched) 0. in
+      let before = angles_seen () in
+      Eliminate.angles_into sched ~work:(Bose_linalg.Mat.create n n) u angles;
+      Alcotest.(check int) "a score observes no angle" before (angles_seen ());
+      Alcotest.(check int) "a score counts as a decomposition" 1 (decompositions ());
+      let plan = Eliminate.decompose pattern u in
+      Alcotest.(check int) "a plan observes each rotation once"
+        (before + Bose_decomp.Plan.rotation_count plan)
+        (angles_seen ()))
 
 (* --------------------------------------------------------------- spans *)
 
@@ -255,6 +290,8 @@ let () =
         [
           Alcotest.test_case "bucketing" `Quick test_histogram_buckets;
           Alcotest.test_case "bad bounds rejected" `Quick test_histogram_bad_bounds;
+          Alcotest.test_case "angles per plan, not per score" `Quick
+            test_angle_histogram_per_plan;
         ] );
       ( "spans",
         [

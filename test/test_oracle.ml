@@ -118,15 +118,16 @@ let test_applications () =
          ])
     [ 21; 22 ]
 
-(* N = 128 runs the fused elimination and replay engines. *)
-let test_fused () =
+(* N = 128, a power-of-two stride, through polish, decompose and the
+   dropout replays. *)
+let test_haar_128 () =
   check_program ~optimize:false ~label:"haar128" ~rows:12 ~cols:11 ~trials:20 ~tau:0.999
     ~seed:5 ~dropout:([ 1; 20 ], 4)
     (Unitary.haar_random (Rng.create 128) 128)
 
-(* The fused engine sweeps only the rows above each stage row; the
-   reference sweeps every row. Chains at N = 129 and 333 (the chain
-   stages rotate adjacent pairs) and one lattice pattern: the plan text
+(* The walk rotates only the rows above each stage row; the reference
+   rotates every row. Chains at N = 129 and 333 (the chain stages
+   rotate adjacent pairs) and one lattice pattern: the plan text
    carries every rotation and Λ as exact hex floats, so equal text is
    equal bits. *)
 let test_row_skip () =
@@ -293,19 +294,6 @@ let same_matrix a b =
           same_bits x.Complex.re y.Complex.re && same_bits x.Complex.im y.Complex.im)
        (List.concat (List.init (Mat.rows a) (fun i -> List.init (Mat.cols a) (fun j -> (i, j)))))
 
-let same_plan (a : Plan.t) (b : Plan.t) =
-  let same_cx (x : Cx.t) (y : Cx.t) = same_bits x.re y.re && same_bits x.im y.im in
-  let same_element (x : Plan.element) (y : Plan.element) =
-    let r = x.Plan.rotation and q = y.Plan.rotation in
-    x.Plan.row = y.Plan.row && r.Givens.m = q.Givens.m && r.Givens.n = q.Givens.n
-    && same_bits r.Givens.c q.Givens.c && same_bits r.Givens.s q.Givens.s
-    && same_bits r.Givens.ere q.Givens.ere && same_bits r.Givens.eim q.Givens.eim
-  in
-  a.Plan.modes = b.Plan.modes
-  && Array.length a.Plan.elements = Array.length b.Plan.elements
-  && Array.for_all2 same_element a.Plan.elements b.Plan.elements
-  && Array.for_all2 same_cx a.Plan.lambda b.Plan.lambda
-
 (* A parsed value equals the printed one bit for bit, except that a
    NaN comes back as whatever NaN its text names. *)
 let same_value x y = same_bits x y || (Float.is_nan x && Float.is_nan y)
@@ -329,7 +317,7 @@ let prop_text_roundtrip =
             Oracle.plan_of_string ptext )
         with
         | Ok u', Ok ou, Ok p', Ok op ->
-          same_matrix u' ou && same_plan p' op
+          same_matrix u' ou && Oracle.same_plan p' op
           && List.for_all
                (fun (i, j) ->
                   let x = Mat.get u i j and y = Mat.get u' i j in
@@ -394,7 +382,7 @@ let prop_text_mutations =
         in
         let plan_ok text =
           match Plan.of_string text with
-          | Ok p -> (match Oracle.plan_of_string text with Ok o -> same_plan p o | Error _ -> false)
+          | Ok p -> (match Oracle.plan_of_string text with Ok o -> Oracle.same_plan p o | Error _ -> false)
           | Error _ -> true
           | exception e -> QCheck.Test.fail_reportf "Plan.of_string raised %s" (Printexc.to_string e)
         in
@@ -422,7 +410,7 @@ let () =
         [
           Alcotest.test_case "haar 16/24/32" `Quick test_haar;
           Alcotest.test_case "DS/MC/GS/VS 24" `Quick test_applications;
-          Alcotest.test_case "fused engine 128" `Quick test_fused;
+          Alcotest.test_case "haar 128" `Quick test_haar_128;
           Alcotest.test_case "500-chain schedule" `Quick test_chain_500;
           Alcotest.test_case "row skip: chain 129/333, lattice 144" `Quick test_row_skip;
         ] );
